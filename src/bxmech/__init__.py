@@ -22,16 +22,13 @@ from .cyclegraph import (
     build_graph,
     enumerate_cycles,
 )
+from .exact import ExactSearchCapExceeded
 from .localsearch import (
-    Algorithm,
     ImprovementRule,
     LocalSearchTrace,
     RuleContractError,
     SearchStats,
     all_for_q_rule,
-    check_precedes,
-    concatenate,
-    concatenate_all,
     expansion_rule,
     restrict_rule,
     run_local_search,
@@ -40,23 +37,18 @@ from .mechanisms import (
     LambdaProfile,
     Mechanism,
     RandomizedMechanism,
-    greedy,
+    concatenate,
     greedy_mechanism,
-    io,
     io_mechanism,
     lambda_profile,
     ls_mechanism,
-    ls_q,
     nu_mechanism,
-    nu_q,
-    opt_ell,
     opt_mechanism,
     parse_mechanism,
     randomized_wrapper,
 )
 from .verification import (
     ManipulationFinding,
-    OracleCapExceeded,
     RatioReport,
     fuzz_truthfulness_nodes,
     fuzz_truthfulness_wishlists,

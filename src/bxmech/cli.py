@@ -5,7 +5,7 @@ Commands: gen, solve, fuzz, sweep, profile-lambda.  Outputs are canonical
 repeated invocation with the same seed produces byte-identical files.
 
 Exit codes: 0 success, 2 bound violation or manipulation found, 1 usage or
-I/O error.
+I/O error, or an instance over an exhaustive-search cap.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     parse_rational,
     rational_str,
 )
+from .exact import ExactSearchCapExceeded
 from .instances import (
     InstanceBundle,
     bundle_to_json_dict,
@@ -44,7 +45,6 @@ from .mechanisms import (
     randomized_wrapper,
 )
 from .verification import (
-    OracleCapExceeded,
     RatioReport,
     fuzz_truthfulness_nodes,
     fuzz_truthfulness_wishlists,
@@ -232,7 +232,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             node_cap=args.oracle_cap,
         )
         ratio_doc: dict | None = _ratio_json(ratio)
-    except OracleCapExceeded as exc:
+    except ExactSearchCapExceeded as exc:
         warnings.append(f"oracle skipped: {exc}")
         ratio_doc = None
     report = {
@@ -426,6 +426,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "profile-lambda":
             return cmd_profile_lambda(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, ExactSearchCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

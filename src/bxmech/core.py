@@ -273,9 +273,6 @@ class Exchange:
                 return cycle
         return None
 
-    def sorted_cycles(self) -> list[TradingCycle]:
-        return sorted(self.cycles, key=cycle_sort_key)
-
 
 def respects(exchange: Exchange, wishes: WishListVector) -> bool:
     """True iff every arc (i, pi(i)) of the exchange is a wished arc."""

@@ -151,9 +151,6 @@ class CycleGraph:
     def agent_nodes(self, agent: int) -> IndependentSet:
         return self.set_of(self._agent_mask.get(agent, 0))
 
-    def agent_node_mask(self, agent: int) -> int:
-        return self._agent_mask.get(agent, 0)
-
     def adjacency_mask(self, index: int) -> int:
         return self._adj[index]
 
@@ -202,10 +199,6 @@ class CycleGraph:
             _agent_mask=agent_mask,
             _weights=tuple(self._weights[i] for i in keep),
         )
-
-    def induced(self, kept: Iterable[TradingCycle]) -> "CycleGraph":
-        keep = set(kept)
-        return self.remove_nodes([v for v in self.nodes if v not in keep])
 
     def exchange_from(self, independent: Iterable[TradingCycle]) -> Exchange:
         nodes = frozenset(independent)

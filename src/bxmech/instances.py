@@ -25,7 +25,7 @@ strings, never floats), so generated fixtures are byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -79,9 +79,6 @@ class InstanceBundle:
             cycles = list(self.direct_nodes or ())
         order = list(self.node_order) if self.node_order is not None else None
         return build_graph(cycles, self.n, lam, node_order=order)
-
-    def with_lam(self, lam: LengthFunction) -> "InstanceBundle":
-        return replace(self, lam=lam)
 
 
 def _expect(**entries: tuple[object, str]) -> dict[str, dict[str, str]]:

@@ -1,4 +1,4 @@
-"""Improvement rules, the local-search driver, and algorithm combinators.
+"""Improvement rules and the local-search driver.
 
 An improvement rule maps (graph, independent set) to a strictly heavier
 independent set or to None when no candidate exists.  A local-search
@@ -17,13 +17,15 @@ Two rule families are provided:
 
 Both families accept a node-length filter, which is how the length-phased
 variants (exactly length j, or length above a threshold) are derived.
+Solvers built from rule lists, and their concatenation, live in
+:mod:`bxmech.mechanisms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .cyclegraph import CycleGraph, IndependentSet
 
@@ -224,16 +226,6 @@ class LocalSearchTrace:
     def iterations(self) -> int:
         return len(self.steps)
 
-    def max_step_change(self) -> int:
-        """Largest symmetric difference between consecutive sets: a probe
-        for how local the individual improvements were (not enforced)."""
-        previous: IndependentSet = frozenset()
-        worst = 0
-        for step in self.steps:
-            worst = max(worst, len(step.result ^ previous))
-            previous = step.result
-        return worst
-
 
 def run_local_search(
     graph: CycleGraph,
@@ -279,104 +271,3 @@ def run_local_search(
         if not fired:
             return LocalSearchTrace(steps=tuple(steps), final=current)
 
-
-@dataclass(frozen=True)
-class Algorithm:
-    """A named map from cycle graphs to independent sets.
-
-    ``min_output_length`` / ``max_output_length`` are static bounds on the
-    lengths of output nodes when known (length-phased algorithms know them);
-    they let the precedence check below be certified without sampling.
-    """
-
-    name: str
-    _run: Callable[[CycleGraph, SearchStats | None], IndependentSet]
-    min_output_length: int | None = None
-    max_output_length: int | None = None
-
-    def run(
-        self, graph: CycleGraph, stats: SearchStats | None = None
-    ) -> IndependentSet:
-        return self._run(graph, stats)
-
-    def __call__(
-        self, graph: CycleGraph, stats: SearchStats | None = None
-    ) -> IndependentSet:
-        return self._run(graph, stats)
-
-
-def local_search_algorithm(
-    name: str,
-    rules: Sequence[ImprovementRule],
-    min_output_length: int | None = None,
-    max_output_length: int | None = None,
-) -> Algorithm:
-    rule_tuple = tuple(rules)
-
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        return run_local_search(graph, rule_tuple, stats).final
-
-    return Algorithm(
-        name=name,
-        _run=run,
-        min_output_length=min_output_length,
-        max_output_length=max_output_length,
-    )
-
-
-def concatenate(first: Algorithm, second: Algorithm) -> Algorithm:
-    """Run ``first``, delete its output and that output's neighbors, run
-    ``second`` on the remainder, and return the union."""
-
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        head = first.run(graph, stats)
-        closed = head | graph.neighborhood(head)
-        tail = second.run(graph.remove_nodes(closed), stats)
-        return head | tail
-
-    mins = [x for x in (first.min_output_length, second.min_output_length) if x]
-    maxs = [first.max_output_length, second.max_output_length]
-    return Algorithm(
-        name=f"{first.name}.{second.name}",
-        _run=run,
-        min_output_length=min(mins) if len(mins) == 2 else None,
-        max_output_length=max(maxs) if None not in maxs else None,  # type: ignore[type-var]
-    )
-
-
-def concatenate_all(algorithms: Sequence[Algorithm]) -> Algorithm:
-    if not algorithms:
-        raise ValueError("need at least one algorithm")
-    combined = algorithms[0]
-    for alg in algorithms[1:]:
-        combined = concatenate(combined, alg)
-    return combined
-
-
-def check_precedes(
-    first: Algorithm,
-    second: Algorithm,
-    samples: Iterable[CycleGraph],
-) -> bool:
-    """Audit that every node ``first`` outputs is no longer than every node
-    ``second`` outputs.
-
-    Certified statically from declared output-length bounds when available,
-    otherwise checked empirically across the sample graphs.
-    """
-    if (
-        first.max_output_length is not None
-        and second.min_output_length is not None
-        and first.max_output_length <= second.min_output_length
-    ):
-        return True
-    max_first = 0
-    min_second: int | None = None
-    for graph in samples:
-        for v in first.run(graph):
-            max_first = max(max_first, v.length)
-        for v in second.run(graph):
-            min_second = v.length if min_second is None else min(min_second, v.length)
-    if min_second is None:
-        return True
-    return max_first <= min_second

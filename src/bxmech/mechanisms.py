@@ -1,8 +1,12 @@
 """The mechanism catalog and the length-function profile quantities.
 
-Mechanisms are algorithms on cycle graphs packaged with their claimed
-approximation bound and the class of length functions they are truthful
-for:
+A solver maps a cycle graph (and an optional :class:`SearchStats`) to an
+independent set.  The building blocks are the greedy sweep, a local search
+over a rule list, the ``>threshold`` swap search and the per-class exact
+solve; :func:`concatenate` chains two solvers, the second running on what
+the first output and its neighbors leave.  A :class:`Mechanism` packages a
+solver with its claimed approximation bound and the class of length
+functions it is truthful for:
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -10,9 +14,9 @@ for:
 * ``ls:q``: local search with the expansion and all-for-q rules; claimed
   ratio k - 1 + 1/q, truthful under uniform length functions.
 * ``nu:q``: greedy on lengths up to the threshold where the length function
-  flattens to its tail value, then the q-swap search on the strictly longer
-  remainder; truthful for non-uniform length functions, ratio
-  max{k - 1 + 1/q, rho}.
+  flattens to its tail value, concatenated with the q-swap search on the
+  strictly longer remainder; truthful for non-uniform length functions,
+  ratio max{k - 1 + 1/q, rho}.
 * ``io``: per value-class exact solves, concatenated from short classes to
   long; truthful, exponential time, ratio rho for non-uniform functions.
 * ``opt:l``: one exact solve restricted to the value class of a length.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -38,14 +43,11 @@ from .core import (
 from .cyclegraph import CycleGraph, IndependentSet, build_graph, enumerate_cycles
 from .exact import max_weight_independent_set
 from .localsearch import (
-    Algorithm,
+    ImprovementRule,
     SearchStats,
     all_for_q_rule,
-    concatenate_all,
     expansion_rule,
     length_above,
-    length_equals,
-    local_search_algorithm,
     restrict_rule,
     run_local_search,
 )
@@ -119,104 +121,77 @@ def lambda_profile(lam: LengthFunction) -> LambdaProfile:
 
 
 # ---------------------------------------------------------------------------
-# algorithm building blocks
+# solver building blocks: (graph, stats=None) -> independent set
+
+Solver = Callable[..., IndependentSet]
 
 
-def greedy_phase(j: int) -> Algorithm:
-    """Expansion-only search that may add nodes of length exactly j."""
-    rule = restrict_rule(expansion_rule(), length_equals(j), f"len={j}")
-    return local_search_algorithm(
-        f"greedy^{j}", [rule], min_output_length=j, max_output_length=j
-    )
+def concatenate(head: Solver, tail: Solver) -> Solver:
+    """Run ``head``, delete its output and that output's neighbors, run
+    ``tail`` on the remainder, and return the union."""
+
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+        first = head(graph, stats)
+        closed = first | graph.neighborhood(first)
+        return first | tail(graph.remove_nodes(closed), stats)
+
+    return run
 
 
-def greedy_chain(lo: int, hi: int) -> Algorithm:
-    """The concatenation of the greedy phases for lengths lo..hi."""
-    return concatenate_all([greedy_phase(j) for j in range(lo, hi + 1)])
+def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
+    """Shortest cycles first over the lengths lo..hi (hi defaults to k).
 
-
-def _greedy_sweep(
-    graph: CycleGraph, max_len: int, stats: SearchStats | None
-) -> IndependentSet:
-    # single-pass equivalent of the phase concatenation; each phase adds, in
-    # node order, every length-j node still independent of the picks so far
-    chosen_mask = 0
-    blocked = 0
-    picks: list[TradingCycle] = []
-    for j in range(2, max_len + 1):
-        for idx, node in enumerate(graph.nodes):
-            if node.length != j:
-                continue
-            bit = 1 << idx
-            if bit & blocked:
-                continue
-            chosen_mask |= bit
-            blocked |= bit | graph.adjacency_mask(idx)
-            picks.append(node)
-            if stats is not None:
-                stats.record(f"expand[len={j}]")
-    return frozenset(picks)
-
-
-def greedy_algorithm(max_len: int | None = None) -> Algorithm:
-    label = "greedy" if max_len is None else f"greedy<={max_len}"
-
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        return _greedy_sweep(graph, max_len or graph.k, stats)
-
-    return Algorithm(
-        name=label, _run=run, min_output_length=2, max_output_length=max_len
-    )
-
-
-def ls_algorithm(q: int) -> Algorithm:
-    rules = (expansion_rule(), all_for_q_rule(q))
-
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        return run_local_search(graph, rules, stats).final
-
-    return Algorithm(name=f"ls[q={q}]", _run=run, min_output_length=2)
-
-
-def ls_above_algorithm(q: int, threshold: int) -> Algorithm:
-    pred = length_above(threshold)
-    rules = (
-        restrict_rule(expansion_rule(), pred, f">{threshold}"),
-        restrict_rule(all_for_q_rule(q), pred, f">{threshold}"),
-    )
-
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        return run_local_search(graph, rules, stats).final
-
-    return Algorithm(
-        name=f"ls[q={q}]>{threshold}", _run=run, min_output_length=threshold + 1
-    )
-
-
-def broken_swap_algorithm(q: int) -> Algorithm:
-    """Local search whose swap rule may drop served agents.
-
-    Known-bad specimen: the fuzz harness must be able to catch it cheating
-    on the steering witness instances.
+    A single pass equivalent to concatenating expansion-only searches
+    restricted to lengths lo, lo + 1, ..., hi: each phase adds, in node
+    order, every node of its length still independent of the picks so far.
     """
-    rules = (expansion_rule(), all_for_q_rule(q, require_loyalty=False))
 
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+        blocked = 0
+        picks: list[TradingCycle] = []
+        for j in range(lo, (graph.k if hi is None else hi) + 1):
+            for idx, node in enumerate(graph.nodes):
+                if node.length != j or (1 << idx) & blocked:
+                    continue
+                blocked |= (1 << idx) | graph.adjacency_mask(idx)
+                picks.append(node)
+                if stats is not None:
+                    stats.record(f"expand[len={j}]")
+        return frozenset(picks)
+
+    return run
+
+
+def local_search(*rules: ImprovementRule) -> Solver:
+    """The local search over ``rules`` from the empty set."""
+
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         return run_local_search(graph, rules, stats).final
 
-    return Algorithm(name=f"broken-swap[q={q}]", _run=run)
+    return run
+
+
+def ls_above(q: int, threshold: int) -> Solver:
+    """The q-swap search that may only add nodes longer than ``threshold``."""
+    pred, label = length_above(threshold), f">{threshold}"
+    return local_search(
+        restrict_rule(expansion_rule(), pred, label),
+        restrict_rule(all_for_q_rule(q), pred, label),
+    )
 
 
 EXACT_NODE_CAP = 40  # guard for the exhaustive per-class solves
 
 
-def opt_class_algorithm(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Algorithm:
-    def run(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
+def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
+    """One exact solve restricted to the value class of length ``ell``."""
+
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         target = graph.lam(ell)
         members = [v for v in graph.nodes if graph.lam(v.length) == target]
         return max_weight_independent_set(graph, within=members, node_cap=node_cap)
 
-    return Algorithm(name=f"opt[l={ell}]", _run=run, max_output_length=ell)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -225,66 +200,81 @@ def opt_class_algorithm(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Algo
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named solver plus its advertised guarantee."""
+    """A named solver plus its advertised guarantee.
+
+    ``run`` is the raw solver; ``solve`` runs it and re-checks that the
+    output is an independent set.
+    """
 
     name: str
     params: Mapping[str, object]
-    truthful_for: str  # "any" | "uniform" | "non-uniform"
-    _solver: Callable[[CycleGraph, SearchStats | None], IndependentSet]
-    _bound: Callable[[LengthFunction], Fraction | None]
+    truthful_for: str  # "any" | "uniform" | "non-uniform" | "none"
+    run: Solver
+    _bound: Callable[[LengthFunction], Fraction | None] = lambda lam: None
 
     def solve(
         self, graph: CycleGraph, stats: SearchStats | None = None
     ) -> IndependentSet:
-        result = self._solver(graph, stats)
+        result = self.run(graph, stats)
         if not graph.is_independent(result):
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
         return result
-
-    def __call__(
-        self, graph: CycleGraph, stats: SearchStats | None = None
-    ) -> IndependentSet:
-        return self.solve(graph, stats)
 
     def claimed_bound(self, lam: LengthFunction) -> Fraction | None:
         return self._bound(lam)
 
 
 def greedy_mechanism() -> Mechanism:
-    alg = greedy_algorithm()
     return Mechanism(
         name="greedy",
         params={},
         truthful_for="any",
-        _solver=lambda graph, stats: alg.run(graph, stats),
+        run=greedy_solver(),
         _bound=lambda lam: Fraction(lam.k),
     )
 
 
+def greedy_phase(j: int) -> Mechanism:
+    """Greedy restricted to the cycles of length exactly j."""
+    return Mechanism(
+        name=f"greedy^{j}", params={"l": j}, truthful_for="any", run=greedy_solver(j, j)
+    )
+
+
 def ls_mechanism(q: int) -> Mechanism:
-    alg = ls_algorithm(q)
     return Mechanism(
         name=f"ls:q={q}",
         params={"q": q},
         truthful_for="uniform",
-        _solver=lambda graph, stats: alg.run(graph, stats),
+        run=local_search(expansion_rule(), all_for_q_rule(q)),
         _bound=lambda lam: Fraction(lam.k - 1) + Fraction(1, q),
     )
 
 
+def broken_swap_algorithm(q: int) -> Mechanism:
+    """Local search whose swap rule may drop served agents.
+
+    Known-bad specimen: the fuzz harness must be able to catch it cheating
+    on the steering witness instances.
+    """
+    return Mechanism(
+        name=f"broken-swap[q={q}]",
+        params={"q": q},
+        truthful_for="none",
+        run=local_search(expansion_rule(), all_for_q_rule(q, require_loyalty=False)),
+    )
+
+
 def nu_mechanism(q: int) -> Mechanism:
-    def solver(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        profile = lambda_profile(graph.lam)
-        if profile.ell_star is None:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+        ell_star = lambda_profile(graph.lam).ell_star
+        if ell_star is None:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        head = greedy_algorithm(max_len=profile.ell_star)
-        head_set = head.run(graph, stats)
-        closed = head_set | graph.neighborhood(head_set)
-        tail = ls_above_algorithm(q, profile.ell_star)
-        tail_set = tail.run(graph.remove_nodes(closed), stats)
-        return head_set | tail_set
+        return concatenate(greedy_solver(hi=ell_star), ls_above(q, ell_star))(
+            graph, stats
+        )
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
@@ -296,34 +286,25 @@ def nu_mechanism(q: int) -> Mechanism:
         name=f"nu:q={q}",
         params={"q": q},
         truthful_for="non-uniform",
-        _solver=solver,
+        run=run,
         _bound=bound,
     )
 
 
 def opt_mechanism(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
-    alg = opt_class_algorithm(ell, node_cap)
     return Mechanism(
         name=f"opt:l={ell}",
         params={"l": ell},
         truthful_for="any",
-        _solver=lambda graph, stats: alg.run(graph, stats),
-        _bound=lambda lam: None,
+        run=opt_class(ell, node_cap),
     )
 
 
 def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
-    def solver(graph: CycleGraph, stats: SearchStats | None) -> IndependentSet:
-        profile = lambda_profile(graph.lam)
-        remaining = graph
-        out: set[TradingCycle] = set()
-        for ell in profile.tumbles:
-            phase = opt_class_algorithm(ell, node_cap)
-            picked = phase.run(remaining, stats)
-            out |= picked
-            closed = picked | remaining.neighborhood(picked)
-            remaining = remaining.remove_nodes(closed)
-        return frozenset(out)
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+        tumbles = lambda_profile(graph.lam).tumbles
+        phases = [opt_class(ell, node_cap) for ell in tumbles]
+        return reduce(concatenate, phases)(graph, stats)
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
@@ -333,32 +314,9 @@ def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
         name="io",
         params={},
         truthful_for="any",
-        _solver=solver,
+        run=run,
         _bound=bound,
     )
-
-
-# spec-level functional forms --------------------------------------------------
-
-
-def greedy(graph: CycleGraph) -> IndependentSet:
-    return greedy_mechanism().solve(graph)
-
-
-def ls_q(graph: CycleGraph, q: int) -> IndependentSet:
-    return ls_mechanism(q).solve(graph)
-
-
-def nu_q(graph: CycleGraph, q: int) -> IndependentSet:
-    return nu_mechanism(q).solve(graph)
-
-
-def opt_ell(graph: CycleGraph, ell: int, node_cap: int | None = EXACT_NODE_CAP) -> IndependentSet:
-    return opt_mechanism(ell, node_cap).solve(graph)
-
-
-def io(graph: CycleGraph, node_cap: int | None = EXACT_NODE_CAP) -> IndependentSet:
-    return io_mechanism(node_cap).solve(graph)
 
 
 # ---------------------------------------------------------------------------

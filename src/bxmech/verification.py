@@ -22,19 +22,11 @@ from .core import (
     rational_str,
 )
 from .cyclegraph import CycleGraph, IndependentSet, build_from_wishes
-from .exact import (
-    ExactSearchCapExceeded,
-    max_weight_independent_set,
-    naive_max_weight_independent_set,
-)
+from .exact import max_weight_independent_set
 
 Solver = Callable[[CycleGraph], IndependentSet]
 
 EXHAUSTIVE_NODE_LIMIT = 12  # per-agent strategy spaces up to 2**12 are enumerated
-
-
-class OracleCapExceeded(RuntimeError):
-    pass
 
 
 def oracle_max_weight_is(graph: CycleGraph, node_cap: int = 40) -> IndependentSet:
@@ -42,20 +34,9 @@ def oracle_max_weight_is(graph: CycleGraph, node_cap: int = 40) -> IndependentSe
 
     Instances with few agents are solved through the agent-subset route no
     matter how many nodes they have; otherwise the node count must stay
-    under ``node_cap``.
+    under ``node_cap``, or :class:`ExactSearchCapExceeded` is raised.
     """
-    try:
-        return max_weight_independent_set(graph, node_cap=node_cap)
-    except ExactSearchCapExceeded as exc:
-        raise OracleCapExceeded(str(exc)) from exc
-
-
-def naive_oracle(graph: CycleGraph, hard_cap: int = 20) -> IndependentSet:
-    """Independent 2^|V| cross-check of the oracle, for small graphs."""
-    try:
-        return naive_max_weight_independent_set(graph, hard_cap=hard_cap)
-    except ExactSearchCapExceeded as exc:
-        raise OracleCapExceeded(str(exc)) from exc
+    return max_weight_independent_set(graph, node_cap=node_cap)
 
 
 def graph_utility(graph: CycleGraph, chosen: IndependentSet, agent: int) -> Fraction:

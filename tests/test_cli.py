@@ -78,6 +78,15 @@ class TestSolve:
         assert doc["ratio_report"] is None
         assert any("oracle" in w for w in doc["warnings"])
 
+    def test_mechanism_over_exact_cap_exits_one(self, tmp_path, capsys):
+        # 24 agents rule out the subset DP, and io's class solves exceed the cap
+        path = gen_file(tmp_path, "rand:n=24,k=3,p=0.5,seed=1")
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", str(path), "io")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cap" in err
+
     def test_randomized_mechanism(self, tmp_path, capsys):
         path = gen_file(tmp_path, "rand:n=6,p=0.7,seed=2")
         code, out, _ = run(
@@ -125,6 +134,14 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "gbad:q=1..2", "ls:q=*", "--bound", "1.0")
         assert code == 2
         assert ",false," in out
+
+    def test_oracle_over_cap_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "rand:n=24,k=3,p=0.3,seed=1", "greedy", "--oracle-cap", "10"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cap" in err
 
     def test_multiple_mechanisms(self, capsys):
         code, out, _ = run(capsys, "sweep", "gbad:q=1", "greedy+ls:q=1")

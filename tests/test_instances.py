@@ -27,7 +27,7 @@ from bxmech.instances import (
     load_instance,
     save_instance,
 )
-from bxmech.mechanisms import ls_q
+from bxmech.mechanisms import ls_mechanism
 from bxmech.verification import oracle_max_weight_is
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,7 +131,7 @@ class TestGbad:
     def test_search_stalls_on_blue(self, q):
         bundle = gen_gbad(q)
         g = bundle.graph()
-        out = ls_q(g, q)
+        out = ls_mechanism(q).solve(g)
         assert out == gbad_blue_set(q)
         assert g.weight(out) == expected_value(bundle, "stalled_weight")
         best = oracle_max_weight_is(g)

@@ -9,19 +9,17 @@ from bxmech.core import LengthFunction, TradingCycle
 from bxmech.cyclegraph import build_from_wishes, build_graph
 from bxmech.instances import gbad_blue_set, gen_gbad, gen_random
 from bxmech.localsearch import (
-    Algorithm,
     ImprovementRule,
     RuleContractError,
+    SearchStats,
     all_for_q_rule,
-    check_precedes,
-    concatenate,
     expansion_rule,
     length_above,
     length_equals,
     restrict_rule,
     run_local_search,
 )
-from bxmech.mechanisms import greedy_algorithm, greedy_chain, greedy_phase, ls_algorithm, ls_above_algorithm
+from bxmech.mechanisms import concatenate, greedy_mechanism, greedy_phase
 
 UNIFORM3 = LengthFunction.uniform(3)
 
@@ -218,18 +216,6 @@ class TestDriver:
             run_local_search(g, [lighter, trace_rule_fires_then_stalls])
 
 
-def test_step_change_probe():
-    # expansion-only traces move one node per step; a swap moves several
-    g = gen_gbad(1).graph()
-    expansion_only = run_local_search(g, [expansion_rule()])
-    assert expansion_only.max_step_change() == 1
-    v = TradingCycle((1, 2, 3))
-    a, b, c = TradingCycle((1, 4)), TradingCycle((2, 5)), TradingCycle((3, 6))
-    g2 = build_graph([v, a, b, c], 6, UNIFORM3, node_order=[v, a, b, c])
-    swapped = run_local_search(g2, [expansion_rule(), all_for_q_rule(1)])
-    assert swapped.max_step_change() == 4  # drop the 3-cycle, gain three 2-cycles
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=2))
 def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
@@ -246,39 +232,45 @@ def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
         served = now
 
 
+def reference_greedy(graph, lo, hi, stats):
+    """Expansion-only searches restricted to lengths lo, ..., hi, each run
+    on what the earlier ones' outputs and their neighbors leave."""
+    out = frozenset()
+    remaining = graph
+    for j in range(lo, hi + 1):
+        rule = restrict_rule(expansion_rule(), length_equals(j), f"len={j}")
+        picked = run_local_search(remaining, [rule], stats).final
+        out |= picked
+        remaining = remaining.remove_nodes(picked | remaining.neighborhood(picked))
+    return out
+
+
 class TestConcatenate:
     def test_empty_remainder_keeps_first_output(self):
         g = graph_of([(1, 2), (2, 3)], 3)
-        first = greedy_phase(2)
-        second = greedy_phase(2)
-        out = concatenate(first, second).run(g)
-        assert out == first.run(g)
+        first = greedy_phase(2).run
+        second = greedy_phase(2).run
+        assert concatenate(first, second)(g) == first(g)
 
     def test_union_semantics(self):
         g = graph_of([(1, 2), (3, 4, 5)], 5)
-        combined = concatenate(greedy_phase(2), greedy_phase(3))
-        assert combined.run(g) == frozenset(g.nodes)
+        combined = concatenate(greedy_phase(2).run, greedy_phase(3).run)
+        assert combined(g) == frozenset(g.nodes)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=4, max_value=9))
-    def test_greedy_sweep_equals_phase_concatenation(self, seed, n):
-        g = gen_random(n, 4, 0.5, seed, lam=LengthFunction.uniform(4)).graph()
-        assert greedy_algorithm().run(g) == greedy_chain(2, 4).run(g)
-
-
-class TestPrecedence:
-    def test_greedy_phases_certify_statically(self):
-        assert check_precedes(greedy_phase(2), greedy_phase(3), samples=[])
-        assert check_precedes(greedy_phase(3), greedy_phase(4), samples=[])
-
-    def test_greedy_head_precedes_tail_search(self):
-        head = greedy_algorithm(max_len=2)
-        tail = ls_above_algorithm(1, 2)
-        assert check_precedes(head, tail, samples=[])
-
-    def test_ls_does_not_precede_short_greedy(self):
-        long_only = graph_of([(1, 2, 3)], 3)
-        short_only = graph_of([(1, 2)], 2)
-        assert not check_precedes(
-            ls_algorithm(1), greedy_phase(2), samples=[long_only, short_only]
-        )
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=4, max_value=9),
+        st.sampled_from([3, 4]),
+        st.data(),
+    )
+    def test_greedy_sweep_equals_phase_concatenation(self, seed, n, k, data):
+        g = gen_random(n, k, 0.5, seed, lam=LengthFunction.uniform(k)).graph()
+        order = data.draw(st.permutations(g.nodes))
+        g = build_graph(g.nodes, n, g.lam, node_order=order)
+        expected_stats, stats = SearchStats(), SearchStats()
+        expected = reference_greedy(g, 2, k, expected_stats)
+        assert greedy_mechanism().run(g, stats) == expected
+        assert stats == expected_stats
+        for j in range(2, k + 1):
+            assert greedy_phase(j).run(g) == reference_greedy(g, j, j, None)

@@ -17,13 +17,12 @@ from bxmech.instances import (
 from bxmech.mechanisms import (
     RandomizedMechanism,
     catalog,
-    greedy,
     greedy_mechanism,
-    io,
+    io_mechanism,
     lambda_profile,
-    ls_q,
-    nu_q,
-    opt_ell,
+    ls_mechanism,
+    nu_mechanism,
+    opt_mechanism,
     parse_mechanism,
     randomized_wrapper,
 )
@@ -92,18 +91,18 @@ class TestGreedy:
         g = build_graph(
             [TradingCycle((1, 2)), TradingCycle((1, 3, 4))], 4, UNIFORM3
         )
-        assert greedy(g) == frozenset({TradingCycle((1, 2))})
+        assert greedy_mechanism().solve(g) == frozenset({TradingCycle((1, 2))})
 
     def test_comb_outputs_horizontal(self):
         g = gen_comb(2, 3, 3, FLAT3).graph()
-        assert greedy(g) == frozenset({comb_horizontal_cycle(2)})
+        assert greedy_mechanism().solve(g) == frozenset({comb_horizontal_cycle(2)})
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_ratio_at_most_k(self, seed):
         bundle = gen_random(8, 3, 0.5, seed)
         g = bundle.graph()
-        mine = g.weight(greedy(g))
+        mine = g.weight(greedy_mechanism().solve(g))
         best = g.weight(oracle_max_weight_is(g))
         assert best <= 3 * mine or best == 0
 
@@ -111,12 +110,12 @@ class TestGreedy:
 class TestLs:
     def test_single_node(self):
         g = build_graph([TradingCycle((1, 2))], 2, UNIFORM3)
-        assert ls_q(g, 1) == frozenset({TradingCycle((1, 2))})
+        assert ls_mechanism(1).solve(g) == frozenset({TradingCycle((1, 2))})
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_gbad_stall_weight(self, q):
         g = gen_gbad(q).graph()
-        out = ls_q(g, q)
+        out = ls_mechanism(q).solve(g)
         assert out == gbad_blue_set(q)
         assert g.weight(out) == 3 * (q + 1)
 
@@ -124,7 +123,7 @@ class TestLs:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_uniform_ratio_bound(self, seed):
         g = gen_random(8, 3, 0.5, seed).graph()
-        mine = g.weight(ls_q(g, 2))
+        mine = g.weight(ls_mechanism(2).solve(g))
         best = g.weight(oracle_max_weight_is(g))
         assert best <= Fraction(5, 2) * mine or best == 0
 
@@ -133,24 +132,24 @@ class TestNu:
     def test_rejects_uniform(self):
         g = build_graph([TradingCycle((1, 2))], 2, UNIFORM3)
         with pytest.raises(ValueError):
-            nu_q(g, 1)
+            nu_mechanism(1).solve(g)
 
     def test_long_only_graph_matches_ls(self):
         cycles = [TradingCycle((1, 2, 3)), TradingCycle((3, 4, 5))]
         g = build_graph(cycles, 5, FLAT3)
-        assert nu_q(g, 1) == ls_q(g, 1)
+        assert nu_mechanism(1).solve(g) == ls_mechanism(1).solve(g)
 
     def test_short_only_graph_matches_greedy(self):
         cycles = [TradingCycle((1, 2)), TradingCycle((3, 4))]
         g = build_graph(cycles, 4, FLAT3)
-        assert nu_q(g, 1) == greedy(g)
+        assert nu_mechanism(1).solve(g) == greedy_mechanism().solve(g)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([FLAT3, STEEP3]))
     def test_ratio_bound(self, seed, lam):
         g = gen_random(8, 3, 0.5, seed, lam=lam).graph()
         bound = max(Fraction(2) + 1, lambda_profile(lam).rho)  # q = 1
-        mine = g.weight(nu_q(g, 1))
+        mine = g.weight(nu_mechanism(1).solve(g))
         best = g.weight(oracle_max_weight_is(g))
         assert best <= bound * mine or best == 0
 
@@ -158,26 +157,26 @@ class TestNu:
 class TestOptAndIo:
     def test_empty_class_gives_empty(self):
         g = build_graph([TradingCycle((1, 2, 3))], 3, FLAT3)
-        assert opt_ell(g, 2) == frozenset()
+        assert opt_mechanism(2).solve(g) == frozenset()
 
     def test_clique_takes_lex_first_heaviest(self):
         nodes = [TradingCycle((1, 2)), TradingCycle((1, 3)), TradingCycle((2, 3))]
         g = build_graph(nodes, 3, UNIFORM3)
-        assert opt_ell(g, 2) == frozenset({TradingCycle((1, 2))})
+        assert opt_mechanism(2).solve(g) == frozenset({TradingCycle((1, 2))})
 
     def test_fan_class_optimum_is_all_teeth(self):
         bundle = gen_fan(3)
         g = bundle.graph()
         teeth = frozenset(g.nodes[1:])
-        assert opt_ell(g, 3) == teeth
+        assert opt_mechanism(3).solve(g) == teeth
 
     def test_uniform_io_is_globally_optimal(self):
         g = gen_random(7, 3, 0.5, 99).graph()
-        assert g.weight(io(g)) == g.weight(oracle_max_weight_is(g))
+        assert g.weight(io_mechanism().solve(g)) == g.weight(oracle_max_weight_is(g))
 
     def test_io_on_comb_picks_horizontal_first(self):
         g = gen_comb(2, 3, 3, STEEP3).graph()
-        out = io(g)
+        out = io_mechanism().solve(g)
         assert comb_horizontal_cycle(2) in out
         assert out == frozenset({comb_horizontal_cycle(2)})
 
@@ -185,7 +184,7 @@ class TestOptAndIo:
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([FLAT3, STEEP3]))
     def test_io_ratio_bound(self, seed, lam):
         g = gen_random(7, 3, 0.5, seed, lam=lam).graph()
-        mine = g.weight(io(g))
+        mine = g.weight(io_mechanism().solve(g))
         best = g.weight(oracle_max_weight_is(g))
         assert best <= lambda_profile(lam).rho * mine or best == 0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle
 from bxmech.cyclegraph import build_from_wishes, build_graph
+from bxmech.exact import ExactSearchCapExceeded, naive_max_weight_independent_set
 from bxmech.instances import (
     comb_horizontal_cycle,
     double_comb_right_cycle,
@@ -29,14 +30,12 @@ from bxmech.mechanisms import (
 from bxmech.verification import (
     CappedBipartite,
     ManipulationFinding,
-    OracleCapExceeded,
     check_bipartite_weight_bound,
     findings_to_json_lines,
     fuzz_truthfulness_nodes,
     fuzz_truthfulness_wishlists,
     graph_utility,
     measure_ratio,
-    naive_oracle,
     oracle_max_weight_is,
     random_capped_bipartite,
 )
@@ -62,19 +61,19 @@ class TestOracle:
         g = bundle.graph()
         if g.num_nodes > 16:
             return
-        assert oracle_max_weight_is(g) == naive_oracle(g)
+        assert oracle_max_weight_is(g) == naive_max_weight_independent_set(g)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_many_agent_route_agrees_with_naive(self, q):
         # 6q+9 agents forces the node-level search; cross-check it
         g = gen_gbad(q).graph()
-        assert oracle_max_weight_is(g) == naive_oracle(g)
+        assert oracle_max_weight_is(g) == naive_max_weight_independent_set(g)
 
     def test_cap_error(self):
         wishes = gen_random(18, 3, 0.7, 5).wishes
         g = build_from_wishes(wishes, UNIFORM3)
         assert g.n > 16 and g.num_nodes > 10
-        with pytest.raises(OracleCapExceeded):
+        with pytest.raises(ExactSearchCapExceeded):
             oracle_max_weight_is(g, node_cap=10)
 
 

@@ -30,7 +30,6 @@ from .localsearch import (
     SearchStats,
     all_for_q_rule,
     expansion_rule,
-    restrict_rule,
     run_local_search,
 )
 from .mechanisms import (

@@ -23,7 +23,7 @@ from .core import (
     parse_rational,
     rational_str,
 )
-from .exact import ExactSearchCapExceeded
+from .exact import EXACT_NODE_CAP, ExactSearchCapExceeded
 from .instances import (
     InstanceBundle,
     bundle_to_json_dict,
@@ -146,7 +146,7 @@ def expand_generator_family(spec: str) -> list[str]:
     return out
 
 
-def _resolve_mechanism(spec: str, bundle: InstanceBundle):
+def _resolve_mechanism(spec: str, bundle: InstanceBundle, node_cap: int):
     if "=*" in spec:
         params = bundle.params or {}
         if "q" not in params:
@@ -154,7 +154,7 @@ def _resolve_mechanism(spec: str, bundle: InstanceBundle):
                 f"mechanism {spec!r} uses q=* but instance {bundle.name} has no q"
             )
         spec = spec.replace("=*", f"={params['q']}")
-    return parse_mechanism(spec)
+    return parse_mechanism(spec, node_cap)
 
 
 def _utilities_rows(graph, chosen) -> list[list[object]]:
@@ -204,7 +204,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     bundle = load_instance(args.instance)
     graph = bundle.graph()
-    mech = _resolve_mechanism(args.mechanism, bundle)
+    mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap)
     warnings: list[str] = []
     stats = SearchStats()
     if isinstance(mech, RandomizedMechanism):
@@ -256,7 +256,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     bundle = load_instance(args.instance)
     graph = bundle.graph()
-    mech = _resolve_mechanism(args.mechanism, bundle)
+    mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap)
     if isinstance(mech, RandomizedMechanism):
         raise UsageError("fuzzing targets deterministic mechanisms")
     solver = lambda g: mech.solve(g)  # noqa: E731
@@ -285,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         bundle = build_generator_spec(gen_spec)
         graph = bundle.graph()
         for mech_spec in args.mechanisms.split("+"):
-            mech = _resolve_mechanism(mech_spec.strip(), bundle)
+            mech = _resolve_mechanism(mech_spec.strip(), bundle, args.oracle_cap)
             if isinstance(mech, RandomizedMechanism):
                 raise UsageError("sweep targets deterministic mechanisms")
             bound = (
@@ -371,7 +371,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     suppress = argparse.SUPPRESS
     parser.add_argument("--seed", type=int, default=0 if top_level else suppress)
     parser.add_argument(
-        "--oracle-cap", type=int, default=40 if top_level else suppress
+        "--oracle-cap", type=int, default=EXACT_NODE_CAP if top_level else suppress
     )
     parser.add_argument("--out", type=str, default=None if top_level else suppress)
     parser.add_argument(

@@ -22,6 +22,8 @@ from .core import TradingCycle
 from .cyclegraph import CycleGraph, IndependentSet
 
 DP_AGENT_CAP = 16
+# default node cap of a branch-and-bound search (more than DP_AGENT_CAP agents)
+EXACT_NODE_CAP = 40
 
 
 class ExactSearchCapExceeded(RuntimeError):

@@ -25,7 +25,7 @@ strings, never floats), so generated fixtures are byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -60,6 +60,7 @@ class InstanceBundle:
     node_order: tuple[TradingCycle, ...] | None = None
     expected: Mapping[str, Mapping[str, str]] | None = None
     params: Mapping[str, object] | None = None
+    _graph: CycleGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.wishes is None) == (self.direct_nodes is None):
@@ -71,14 +72,18 @@ class InstanceBundle:
     def k(self) -> int:
         return self.lam.k
 
-    def graph(self, lam: LengthFunction | None = None) -> CycleGraph:
-        lam = lam or self.lam
-        if self.wishes is not None:
-            cycles = enumerate_cycles(self.wishes, lam.k)
-        else:
-            cycles = list(self.direct_nodes or ())
-        order = list(self.node_order) if self.node_order is not None else None
-        return build_graph(cycles, self.n, lam, node_order=order)
+    def graph(self) -> CycleGraph:
+        """The conflict graph, built on the first call and shared after it
+        (graphs are immutable)."""
+        if self._graph is None:
+            if self.wishes is not None:
+                cycles = enumerate_cycles(self.wishes, self.k)
+            else:
+                cycles = list(self.direct_nodes or ())
+            order = list(self.node_order) if self.node_order is not None else None
+            graph = build_graph(cycles, self.n, self.lam, node_order=order)
+            object.__setattr__(self, "_graph", graph)
+        return self._graph
 
 
 def _expect(**entries: tuple[object, str]) -> dict[str, dict[str, str]]:

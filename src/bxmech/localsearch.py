@@ -15,10 +15,9 @@ Two rule families are provided:
   evicting at most q current members, provided no currently served agent is
   dropped and the weight strictly increases.
 
-Both families accept a node-length filter, which is how the length-phased
-variants (exactly length j, or length above a threshold) are derived.
-Solvers built from rule lists, and their concatenation, live in
-:mod:`bxmech.mechanisms`.
+Rules see the whole graph they are given; a search confined to some nodes
+runs on the graph with the others removed.  Solvers built from rule lists,
+and their concatenation, live in :mod:`bxmech.mechanisms`.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from typing import Callable, Sequence
 
 from .cyclegraph import CycleGraph, IndependentSet
 
-LengthPred = Callable[[int], bool]
-
 
 class RuleContractError(RuntimeError):
     """A rule returned a non-independent or non-improving set: a rule bug."""
@@ -40,32 +37,16 @@ class RuleContractError(RuntimeError):
 class ImprovementRule:
     name: str
     loyal: bool
-    inpa: bool
-    _apply_fn: Callable[
-        [CycleGraph, IndependentSet, LengthPred | None], IndependentSet | None
-    ]
-    length_pred: LengthPred | None = None
+    _apply_fn: Callable[[CycleGraph, IndependentSet], IndependentSet | None]
 
     def apply(self, graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
-        return self._apply_fn(graph, current, self.length_pred)
+        return self._apply_fn(graph, current)
 
 
-def _allowed_mask(graph: CycleGraph, pred: LengthPred | None) -> int:
-    if pred is None:
-        return (1 << graph.num_nodes) - 1
-    mask = 0
-    for i, v in enumerate(graph.nodes):
-        if pred(v.length):
-            mask |= 1 << i
-    return mask
-
-
-def _expansion_apply(
-    graph: CycleGraph, current: IndependentSet, pred: LengthPred | None
-) -> IndependentSet | None:
+def _expansion_apply(graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
     cur_mask = graph.mask_of(current)
     blocked = cur_mask | graph.neighborhood_mask(cur_mask)
-    candidates = _allowed_mask(graph, pred) & ~blocked
+    candidates = ((1 << graph.num_nodes) - 1) & ~blocked
     if not candidates:
         return None
     low = candidates & -candidates
@@ -74,25 +55,17 @@ def _expansion_apply(
 
 def expansion_rule() -> ImprovementRule:
     """Add the first node that keeps the set independent."""
-    return ImprovementRule(
-        name="expand", loyal=True, inpa=True, _apply_fn=_expansion_apply
-    )
+    return ImprovementRule(name="expand", loyal=True, _apply_fn=_expansion_apply)
 
 
 def _all_for_q_apply_factory(
     q: int, require_loyalty: bool
-) -> Callable[[CycleGraph, IndependentSet, LengthPred | None], IndependentSet | None]:
-    def apply_fn(
-        graph: CycleGraph, current: IndependentSet, pred: LengthPred | None
-    ) -> IndependentSet | None:
+) -> Callable[[CycleGraph, IndependentSet], IndependentSet | None]:
+    def apply_fn(graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
         if not current:
             return None
         cur_mask = graph.mask_of(current)
-        pool = (
-            graph.neighborhood_mask(cur_mask)
-            & ~cur_mask
-            & _allowed_mask(graph, pred)
-        )
+        pool = graph.neighborhood_mask(cur_mask) & ~cur_mask
         if not pool:
             return None
         pool_ranks = []
@@ -166,36 +139,8 @@ def all_for_q_rule(q: int, require_loyalty: bool = True) -> ImprovementRule:
     return ImprovementRule(
         name=name,
         loyal=require_loyalty,
-        inpa=require_loyalty,
         _apply_fn=_all_for_q_apply_factory(q, require_loyalty),
     )
-
-
-def restrict_rule(
-    rule: ImprovementRule, pred: LengthPred, label: str
-) -> ImprovementRule:
-    """Restrict a rule so candidates may only add nodes whose length passes
-    ``pred``; loyalty and stability flags are inherited."""
-    if rule.length_pred is None:
-        combined = pred
-    else:
-        prev = rule.length_pred
-        combined = lambda length: prev(length) and pred(length)  # noqa: E731
-    return ImprovementRule(
-        name=f"{rule.name}[{label}]",
-        loyal=rule.loyal,
-        inpa=rule.inpa,
-        _apply_fn=rule._apply_fn,
-        length_pred=combined,
-    )
-
-
-def length_equals(j: int) -> LengthPred:
-    return lambda length: length == j
-
-
-def length_above(threshold: int) -> LengthPred:
-    return lambda length: length > threshold
 
 
 @dataclass

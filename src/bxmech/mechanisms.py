@@ -2,11 +2,10 @@
 
 A solver maps a cycle graph (and an optional :class:`SearchStats`) to an
 independent set.  The building blocks are the greedy sweep, a local search
-over a rule list, the ``>threshold`` swap search and the per-class exact
-solve; :func:`concatenate` chains two solvers, the second running on what
-the first output and its neighbors leave.  A :class:`Mechanism` packages a
-solver with its claimed approximation bound and the class of length
-functions it is truthful for:
+over a rule list and the per-class exact solve; :func:`concatenate` chains
+two solvers, the second running on what the first output and its neighbors
+leave.  A :class:`Mechanism` packages a solver with its claimed
+approximation bound and the class of length functions it is truthful for:
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -14,12 +13,15 @@ functions it is truthful for:
 * ``ls:q``: local search with the expansion and all-for-q rules; claimed
   ratio k - 1 + 1/q, truthful under uniform length functions.
 * ``nu:q``: greedy on lengths up to the threshold where the length function
-  flattens to its tail value, concatenated with the q-swap search on the
-  strictly longer remainder; truthful for non-uniform length functions,
-  ratio max{k - 1 + 1/q, rho}.
+  flattens to its tail value, concatenated with the q-swap search on what
+  the greedy pass leaves, which holds only the strictly longer cycles;
+  truthful for non-uniform length functions, ratio max{k - 1 + 1/q, rho}.
 * ``io``: per value-class exact solves, concatenated from short classes to
   long; truthful, exponential time, ratio rho for non-uniform functions.
 * ``opt:l``: one exact solve restricted to the value class of a length.
+
+The exact solves of ``io`` and ``opt`` take the same ``node_cap`` as the
+oracle (:data:`bxmech.exact.EXACT_NODE_CAP` by default).
 
 ``rho`` is the tight truthfulness threshold computed from the length
 function; see :func:`lambda_profile`.
@@ -28,7 +30,7 @@ function; see :func:`lambda_profile`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Mapping, Sequence
@@ -41,14 +43,12 @@ from .core import (
     parse_rational,
 )
 from .cyclegraph import CycleGraph, IndependentSet, build_graph, enumerate_cycles
-from .exact import max_weight_independent_set
+from .exact import EXACT_NODE_CAP, max_weight_independent_set
 from .localsearch import (
     ImprovementRule,
     SearchStats,
     all_for_q_rule,
     expansion_rule,
-    length_above,
-    restrict_rule,
     run_local_search,
 )
 
@@ -144,6 +144,7 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
     A single pass equivalent to concatenating expansion-only searches
     restricted to lengths lo, lo + 1, ..., hi: each phase adds, in node
     order, every node of its length still independent of the picks so far.
+    So every node of length lo..hi ends up picked or adjacent to a pick.
     """
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
@@ -169,18 +170,6 @@ def local_search(*rules: ImprovementRule) -> Solver:
         return run_local_search(graph, rules, stats).final
 
     return run
-
-
-def ls_above(q: int, threshold: int) -> Solver:
-    """The q-swap search that may only add nodes longer than ``threshold``."""
-    pred, label = length_above(threshold), f">{threshold}"
-    return local_search(
-        restrict_rule(expansion_rule(), pred, label),
-        restrict_rule(all_for_q_rule(q), pred, label),
-    )
-
-
-EXACT_NODE_CAP = 40  # guard for the exhaustive per-class solves
 
 
 def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
@@ -272,9 +261,15 @@ def nu_mechanism(q: int) -> Mechanism:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        return concatenate(greedy_solver(hi=ell_star), ls_above(q, ell_star))(
-            graph, stats
+        # the greedy head picks or blocks every node of length <= ell_star,
+        # so the tail searches only the longer cycles
+        tail = local_search(
+            *(
+                replace(rule, name=f"{rule.name}[>{ell_star}]")
+                for rule in (expansion_rule(), all_for_q_rule(q))
+            )
         )
+        return concatenate(greedy_solver(hi=ell_star), tail)(graph, stats)
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
@@ -366,23 +361,24 @@ def randomized_wrapper(
 # mechanism spec grammar
 
 
-def parse_mechanism(spec: str):
+def parse_mechanism(spec: str, node_cap: int | None = EXACT_NODE_CAP):
     """Parse a mechanism spec string.
 
     Grammar: ``greedy`` | ``ls:q=<int>`` | ``nu:q=<int>`` | ``io`` |
-    ``opt:l=<int>`` | ``rand:zeta=<p>/<q>:base=<mech>``.
+    ``opt:l=<int>`` | ``rand:zeta=<p>/<q>:base=<mech>``.  ``node_cap`` is the
+    node cap of the exact solves of ``io`` and ``opt`` (also as a base).
     """
     spec = spec.strip()
     if spec == "greedy":
         return greedy_mechanism()
     if spec == "io":
-        return io_mechanism()
+        return io_mechanism(node_cap)
     if spec.startswith("ls:"):
         return ls_mechanism(_int_param(spec[3:], "q"))
     if spec.startswith("nu:"):
         return nu_mechanism(_int_param(spec[3:], "q"))
     if spec.startswith("opt:"):
-        return opt_mechanism(_int_param(spec[4:], "l"))
+        return opt_mechanism(_int_param(spec[4:], "l"), node_cap)
     if spec.startswith("rand:"):
         rest = spec[5:]
         if not rest.startswith("zeta="):
@@ -391,7 +387,7 @@ def parse_mechanism(spec: str):
         zeta_text, sep, remainder = rest.partition(":")
         if not sep or not remainder.startswith("base="):
             raise ValueError(f"bad randomized spec {spec!r}: expected :base=")
-        base = parse_mechanism(remainder[5:])
+        base = parse_mechanism(remainder[5:], node_cap)
         if isinstance(base, RandomizedMechanism):
             raise ValueError("randomized wrapper cannot wrap itself")
         return RandomizedMechanism(base=base, zeta=parse_rational(zeta_text))

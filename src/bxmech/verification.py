@@ -22,14 +22,16 @@ from .core import (
     rational_str,
 )
 from .cyclegraph import CycleGraph, IndependentSet, build_from_wishes
-from .exact import max_weight_independent_set
+from .exact import EXACT_NODE_CAP, max_weight_independent_set
 
 Solver = Callable[[CycleGraph], IndependentSet]
 
 EXHAUSTIVE_NODE_LIMIT = 12  # per-agent strategy spaces up to 2**12 are enumerated
 
 
-def oracle_max_weight_is(graph: CycleGraph, node_cap: int = 40) -> IndependentSet:
+def oracle_max_weight_is(
+    graph: CycleGraph, node_cap: int = EXACT_NODE_CAP
+) -> IndependentSet:
     """A maximum-weight independent set, found by exhaustive search.
 
     Instances with few agents are solved through the agent-subset route no
@@ -94,7 +96,7 @@ def measure_ratio(
     bound: Fraction | None,
     instance: str = "",
     mechanism: str = "",
-    node_cap: int = 40,
+    node_cap: int = EXACT_NODE_CAP,
 ) -> RatioReport:
     chosen = solver(graph)
     mech_weight = graph.weight(chosen)

@@ -87,6 +87,33 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ") and "cap" in err
 
+    def test_oracle_cap_reaches_io(self, tmp_path, capsys):
+        # 18 agents rule out the subset DP; io's 50-node class fits a cap of 60
+        path = gen_file(tmp_path, "rand:n=18,k=3,p=0.3,seed=5")
+        capsys.readouterr()
+        code, out, _ = run(capsys, "solve", str(path), "io", "--oracle-cap", "60")
+        assert code == 0
+        assert json.loads(out)["ratio_report"]["ratio"] == "1/1"
+
+    def test_lower_oracle_cap_refuses_io(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "rand:n=20,k=3,p=0.25,seed=5")
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", str(path), "io", "--oracle-cap", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cap of 10 nodes" in err
+
+    def test_nu_tail_firings(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "rand:n=10,k=3,p=0.35,seed=13,lambda=1,9/10")
+        capsys.readouterr()
+        code, out, _ = run(capsys, "solve", str(path), "nu:q=1")
+        assert code == 0
+        assert json.loads(out)["trace"]["firings"] == {
+            "all-for-1[>2]": 1,
+            "expand[>2]": 1,
+            "expand[len=2]": 1,
+        }
+
     def test_randomized_mechanism(self, tmp_path, capsys):
         path = gen_file(tmp_path, "rand:n=6,p=0.7,seed=2")
         code, out, _ = run(

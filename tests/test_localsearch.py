@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -14,9 +15,6 @@ from bxmech.localsearch import (
     SearchStats,
     all_for_q_rule,
     expansion_rule,
-    length_above,
-    length_equals,
-    restrict_rule,
     run_local_search,
 )
 from bxmech.mechanisms import concatenate, greedy_mechanism, greedy_phase
@@ -86,28 +84,6 @@ class TestAllForQ:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             all_for_q_rule(0)
-
-
-class TestRestriction:
-    def test_length_filter_blocks_everything(self):
-        g = graph_of([(1, 2, 3)], 3)
-        r2 = restrict_rule(expansion_rule(), length_equals(2), "len=2")
-        assert r2.apply(g, frozenset()) is None
-
-    def test_above_filter_skips_short_nodes(self):
-        g = graph_of([(1, 2), (3, 4, 5)], 5)
-        r = restrict_rule(expansion_rule(), length_above(2), ">2")
-        assert r.apply(g, frozenset()) == frozenset({TradingCycle((3, 4, 5))})
-
-    def test_flags_inherited_and_stack(self):
-        base = all_for_q_rule(2)
-        r = restrict_rule(base, length_above(2), ">2")
-        assert r.loyal and r.inpa
-        rr = restrict_rule(r, length_equals(3), "=3")
-        g = graph_of([(1, 2), (1, 3, 4), (1, 2, 3, 4)], 4, LengthFunction.uniform(4))
-        out = rr.apply(g, frozenset({TradingCycle((1, 2))}))
-        # only the 3-cycle passes both filters, and it drops agent 2: no candidate
-        assert out is None
 
 
 def reference_all_for_q(graph, current, q, require_loyalty=True):
@@ -194,22 +170,19 @@ class TestDriver:
         dependent = ImprovementRule(
             name="bad-dependent",
             loyal=False,
-            inpa=False,
-            _apply_fn=lambda graph, cur, pred: frozenset(graph.nodes),
+            _apply_fn=lambda graph, cur: frozenset(graph.nodes),
         )
         with pytest.raises(RuleContractError):
             run_local_search(g, [dependent])
         lighter = ImprovementRule(
             name="bad-lighter",
             loyal=False,
-            inpa=False,
-            _apply_fn=lambda graph, cur, pred: frozenset({graph.nodes[0]}),
+            _apply_fn=lambda graph, cur: frozenset({graph.nodes[0]}),
         )
         trace_rule_fires_then_stalls = ImprovementRule(
             name="stall",
             loyal=False,
-            inpa=False,
-            _apply_fn=lambda graph, cur, pred: None,
+            _apply_fn=lambda graph, cur: None,
         )
         with pytest.raises(RuleContractError):
             # second application returns the same single node: not heavier
@@ -233,13 +206,14 @@ def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
 
 
 def reference_greedy(graph, lo, hi, stats):
-    """Expansion-only searches restricted to lengths lo, ..., hi, each run
-    on what the earlier ones' outputs and their neighbors leave."""
+    """Expansion-only searches on the nodes of length lo, ..., hi in turn,
+    each run on what the earlier ones' outputs and their neighbors leave."""
     out = frozenset()
     remaining = graph
     for j in range(lo, hi + 1):
-        rule = restrict_rule(expansion_rule(), length_equals(j), f"len={j}")
-        picked = run_local_search(remaining, [rule], stats).final
+        rule = dataclasses.replace(expansion_rule(), name=f"expand[len={j}]")
+        length_j = remaining.remove_nodes(v for v in remaining.nodes if v.length != j)
+        picked = run_local_search(length_j, [rule], stats).final
         out |= picked
         remaining = remaining.remove_nodes(picked | remaining.neighborhood(picked))
     return out

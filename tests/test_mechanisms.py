@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle, WishListVector, respects
 from bxmech.cyclegraph import build_from_wishes, build_graph
+from bxmech.exact import ExactSearchCapExceeded
 from bxmech.instances import (
     comb_horizontal_cycle,
     gbad_blue_set,
@@ -18,6 +19,7 @@ from bxmech.mechanisms import (
     RandomizedMechanism,
     catalog,
     greedy_mechanism,
+    greedy_solver,
     io_mechanism,
     lambda_profile,
     ls_mechanism,
@@ -143,6 +145,24 @@ class TestNu:
         cycles = [TradingCycle((1, 2)), TradingCycle((3, 4))]
         g = build_graph(cycles, 4, FLAT3)
         assert nu_mechanism(1).solve(g) == greedy_mechanism().solve(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=4, max_value=9),
+        st.sampled_from([3, 4]),
+        st.data(),
+    )
+    def test_greedy_head_leaves_only_longer_cycles(self, seed, n, k, data):
+        # nu's tail searches what its greedy head leaves without a length
+        # filter: that remainder must hold no node of length <= threshold
+        g = gen_random(n, k, 0.5, seed, lam=LengthFunction.uniform(k)).graph()
+        order = data.draw(st.permutations(g.nodes))
+        g = build_graph(g.nodes, n, g.lam, node_order=order)
+        threshold = data.draw(st.integers(min_value=2, max_value=k))
+        picked = greedy_solver(hi=threshold)(g)
+        rest = g.remove_nodes(picked | g.neighborhood(picked))
+        assert all(v.length > threshold for v in rest.nodes)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([FLAT3, STEEP3]))
@@ -302,6 +322,15 @@ class TestSpecParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_mechanism(bad)
+
+    @pytest.mark.parametrize("spec", ["io", "opt:l=3", "rand:zeta=1/2:base=io"])
+    def test_node_cap_reaches_exact_solves(self, spec):
+        g = gen_random(20, 3, 0.25, 5).graph()  # 20 agents: no subset DP; 35 nodes
+        capped = parse_mechanism(spec, node_cap=34)
+        with pytest.raises(ExactSearchCapExceeded, match="cap of 34 nodes"):
+            getattr(capped, "base", capped).solve(g)
+        mech = parse_mechanism(spec, node_cap=35)
+        assert getattr(mech, "base", mech).solve(g)
 
     def test_claimed_bounds(self):
         assert parse_mechanism("greedy").claimed_bound(UNIFORM3) == 3

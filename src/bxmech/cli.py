@@ -48,7 +48,6 @@ from .verification import (
     RatioReport,
     fuzz_truthfulness_nodes,
     fuzz_truthfulness_wishlists,
-    graph_utility,
     measure_ratio,
 )
 
@@ -158,10 +157,14 @@ def _resolve_mechanism(spec: str, bundle: InstanceBundle, node_cap: int):
 
 
 def _utilities_rows(graph, chosen) -> list[list[object]]:
-    return [
-        [agent, rational_str(graph_utility(graph, chosen, agent))]
-        for agent in range(1, graph.n + 1)
-    ]
+    # chosen is independent: each agent partakes in at most one of its cycles
+    served: dict[int, str] = {}
+    for v in chosen:
+        value = rational_str(graph.lam(v.length))
+        for a in v.agents:
+            served[a] = value
+    zero = rational_str(Fraction(0))
+    return [[agent, served.get(agent, zero)] for agent in range(1, graph.n + 1)]
 
 
 def _ratio_json(report: RatioReport) -> dict:
@@ -210,9 +213,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if isinstance(mech, RandomizedMechanism):
         if bundle.wishes is None:
             raise UsageError("randomized wrapper needs a wish-list instance")
-        exchange = randomized_wrapper(
-            mech.base, mech.zeta, bundle.wishes, bundle.lam, args.seed
-        )
+        exchange = randomized_wrapper(mech.base, mech.zeta, graph, args.seed)
         chosen = graph.independent_from(exchange)
         mech_name = mech.name
         bound = None

@@ -4,7 +4,11 @@ The nodes of a cycle graph are trading cycles of length at most k; two nodes
 are adjacent exactly when their agent sets intersect.  Independent sets of
 this graph are in one-to-one correspondence with feasible exchanges, and the
 weight of a node is length * lambda(length), so maximum-weight independent
-sets correspond to welfare-optimal exchanges.
+sets correspond to welfare-optimal exchanges.  Weights are exact: the graph
+stores each node weight as an integer multiple of ``1 / scale``, where
+``scale`` is the least common multiple of the weights' denominators, so the
+inner loops of the solvers add and compare plain ints; ``weight``,
+``node_weight`` and ``weight_of_mask`` return ``Fraction``s.
 
 The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -35,7 +40,8 @@ def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
 
     Each cycle is reported once, in canonical rotation, via a DFS that only
     extends paths with agents larger than the start agent (so the start is
-    always the cycle minimum).  The result is sorted by (length, sequence).
+    always the cycle minimum).  The result is sorted by (length, sequence),
+    so the DFS may visit successors in any order.
     """
     if k < 2:
         raise ValueError(f"length bound must be >= 2, got {k}")
@@ -45,10 +51,16 @@ def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
         stack: list[tuple[int, tuple[int, ...]]] = [(start, (start,))]
         while stack:
             current, path = stack.pop()
-            for nxt in sorted(wishes.of(current), reverse=True):
+            succ = wishes.of(current)
+            if len(path) == k:
+                # a path of full length can only close
+                if start in succ:
+                    found.append(TradingCycle(path))
+                continue
+            for nxt in succ:
                 if nxt == start and len(path) >= 2:
                     found.append(TradingCycle(path))
-                elif nxt > start and nxt not in path and len(path) < k:
+                elif nxt > start and nxt not in path:
                     stack.append((nxt, path + (nxt,)))
     found.sort(key=cycle_sort_key)
     return found
@@ -59,7 +71,8 @@ class CycleGraph:
     """Immutable conflict graph over trading cycles.
 
     Construct through :func:`build_graph`; ``nodes`` is already sorted by the
-    graph's node order, so the rank of a node is its index.
+    graph's node order, so the rank of a node is its index.  ``_weights[i]``
+    is the weight of node i times ``_scale``, an int.
     """
 
     n: int
@@ -68,7 +81,8 @@ class CycleGraph:
     _rank: Mapping[TradingCycle, int]
     _adj: tuple[int, ...]
     _agent_mask: Mapping[int, int]
-    _weights: tuple[Fraction, ...]
+    _weights: tuple[int, ...]
+    _scale: int
 
     @property
     def k(self) -> int:
@@ -88,10 +102,10 @@ class CycleGraph:
             raise KeyError(f"unknown node {node}") from None
 
     def node_weight(self, node: TradingCycle) -> Fraction:
-        return self._weights[self.rank(node)]
+        return Fraction(self._weights[self.rank(node)], self._scale)
 
     def weight(self, nodes: Iterable[TradingCycle]) -> Fraction:
-        return sum((self._weights[self.rank(v)] for v in nodes), start=Fraction(0))
+        return Fraction(sum(self._weights[self.rank(v)] for v in nodes), self._scale)
 
     def mask_of(self, nodes: Iterable[TradingCycle]) -> int:
         mask = 0
@@ -108,12 +122,12 @@ class CycleGraph:
         return frozenset(out)
 
     def weight_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
+        total = 0
         while mask:
             low = mask & -mask
             total += self._weights[low.bit_length() - 1]
             mask ^= low
-        return total
+        return Fraction(total, self._scale)
 
     def neighbors(self, node: TradingCycle) -> IndependentSet:
         return self.set_of(self._adj[self.rank(node)])
@@ -198,6 +212,7 @@ class CycleGraph:
             _adj=tuple(adj),
             _agent_mask=agent_mask,
             _weights=tuple(self._weights[i] for i in keep),
+            _scale=self._scale,
         )
 
     def exchange_from(self, independent: Iterable[TradingCycle]) -> Exchange:
@@ -248,8 +263,10 @@ def build_graph(
         for a in v.agents:
             mask |= agent_mask[a]
         adj.append(mask & ~(1 << i))
-    by_length = {ell: Fraction(ell) * lam(ell) for ell in range(2, lam.k + 1)}
-    weights = tuple(by_length[v.length] for v in ordered)
+    by_length = {ell: ell * lam(ell) for ell in range(2, lam.k + 1)}
+    scale = lcm(*(w.denominator for w in by_length.values()))
+    scaled = {ell: w.numerator * scale // w.denominator for ell, w in by_length.items()}
+    weights = tuple(scaled[v.length] for v in ordered)
     return CycleGraph(
         n=n,
         lam=lam,
@@ -258,6 +275,7 @@ def build_graph(
         _adj=tuple(adj),
         _agent_mask=agent_mask,
         _weights=weights,
+        _scale=scale,
     )
 
 

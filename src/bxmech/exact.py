@@ -11,11 +11,13 @@ full DP over agent subsets is computed first (independent sets of a cycle
 graph are exactly agent-disjoint node packings), and the DP value on the
 yet-uncovered agents bounds every completion.  Graphs with many agents but
 few nodes fall back to suffix weight sums.
+
+Both solvers run on the graph's scaled integer weights (node weight times
+``graph._scale``), which order sets exactly as the rational weights do.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import TradingCycle
@@ -46,14 +48,15 @@ def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> dict[int, int]:
 
 def _packing_dp(
     graph: CycleGraph, allowed: Sequence[int], node_agents: dict[int, int]
-) -> list[Fraction]:
-    """f[S] = best packing weight using allowed nodes whose agents lie in S."""
+) -> list[int]:
+    """f[S] = best scaled packing weight using allowed nodes whose agents lie
+    in S."""
     by_agent: dict[int, list[int]] = {}
     for idx in allowed:
         for a in graph.nodes[idx].agents:
             by_agent.setdefault(a, []).append(idx)
-    zero = Fraction(0)
-    table = [zero] * (1 << graph.n)
+    weights = graph._weights
+    table = [0] * (1 << graph.n)
     for subset in range(1, 1 << graph.n):
         low_bit = subset & -subset
         agent = low_bit.bit_length()
@@ -61,7 +64,7 @@ def _packing_dp(
         for idx in by_agent.get(agent, ()):
             am = node_agents[idx]
             if am & subset == am:
-                cand = graph._weights[idx] + table[subset ^ am]
+                cand = weights[idx] + table[subset ^ am]
                 if cand > best:
                     best = cand
         table[subset] = best
@@ -96,20 +99,20 @@ def max_weight_independent_set(
     node_agents = _agent_masks(graph, allowed)
     dp_table = _packing_dp(graph, allowed, node_agents) if use_dp else None
 
-    # suffix[i] = total weight of allowed nodes at or after position i
-    suffix: list[Fraction] = [Fraction(0)] * (len(allowed) + 1)
+    weights = graph._weights
+    # suffix[i] = total scaled weight of allowed nodes at or after position i
+    suffix = [0] * (len(allowed) + 1)
     for pos in range(len(allowed) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + graph._weights[allowed[pos]]
+        suffix[pos] = suffix[pos + 1] + weights[allowed[pos]]
 
     all_agents = 0
     for idx in allowed:
         all_agents |= node_agents[idx]
 
-    best_weight: Fraction | None = None
+    best_weight: int | None = None
     best_mask = 0
-    zero = Fraction(0)
 
-    def search(pos: int, chosen: int, blocked: int, cur: Fraction, uncovered: int) -> None:
+    def search(pos: int, chosen: int, blocked: int, cur: int, uncovered: int) -> None:
         nonlocal best_weight, best_mask
         while pos < len(allowed) and (1 << allowed[pos]) & blocked:
             pos += 1
@@ -128,12 +131,12 @@ def max_weight_independent_set(
             pos + 1,
             chosen | bit,
             blocked | graph._adj[idx] | bit,
-            cur + graph._weights[idx],
+            cur + weights[idx],
             uncovered & ~node_agents[idx],
         )
         search(pos + 1, chosen, blocked | bit, cur, uncovered)
 
-    search(0, 0, 0, zero, all_agents)
+    search(0, 0, 0, 0, all_agents)
     return graph.set_of(best_mask)
 
 
@@ -155,7 +158,7 @@ def naive_max_weight_independent_set(
     if m > hard_cap:
         raise ExactSearchCapExceeded(f"{m} nodes exceeds the naive cap {hard_cap}")
     adj = [graph._adj[idx] for idx in allowed]
-    best_weight = Fraction(0)
+    best_weight = 0
     best_key: tuple[int, ...] = ()
     best: IndependentSet = frozenset()
     independent = [True] * (1 << m)
@@ -177,7 +180,7 @@ def naive_max_weight_independent_set(
         if not ok:
             continue
         members = [allowed[i] for i in range(m) if mask & (1 << i)]
-        weight = sum((graph._weights[i] for i in members), start=Fraction(0))
+        weight = sum(graph._weights[i] for i in members)
         key = tuple(members)
         if weight > best_weight or (weight == best_weight and key < best_key):
             best_weight = weight

@@ -13,7 +13,9 @@ Two rule families are provided:
   independent;
 * the all-for-q rule: swap in an independent set X of new neighbors while
   evicting at most q current members, provided no currently served agent is
-  dropped and the weight strictly increases.
+  dropped and the weight strictly increases.  It searches on bitmasks of
+  nodes and agents with the graph's scaled integer weights, and stops at the
+  first candidate that passes, which is the first in tie-break order.
 
 Rules see the whole graph they are given; a search confined to some nodes
 runs on the graph with the others removed.  Solvers built from rule lists,
@@ -58,6 +60,17 @@ def expansion_rule() -> ImprovementRule:
     return ImprovementRule(name="expand", loyal=True, _apply_fn=_expansion_apply)
 
 
+def _agent_bits(graph: CycleGraph, mask: int) -> int:
+    """Bitmask (bit a for agent a) of the agents of the nodes in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        for a in graph.nodes[low.bit_length() - 1].agents:
+            out |= 1 << a
+        mask ^= low
+    return out
+
+
 def _all_for_q_apply_factory(
     q: int, require_loyalty: bool
 ) -> Callable[[CycleGraph, IndependentSet], IndependentSet | None]:
@@ -66,60 +79,74 @@ def _all_for_q_apply_factory(
             return None
         cur_mask = graph.mask_of(current)
         pool = graph.neighborhood_mask(cur_mask) & ~cur_mask
-        if not pool:
-            return None
-        pool_ranks = []
+        adj = graph._adj
+        weights = graph._weights
+        # per usable pool node r: (the current nodes r evicts, their agents,
+        # r's agents); a node that evicts more than q current nodes can be
+        # in no candidate
+        info: dict[int, tuple[int, int, int]] = {}
         m = pool
         while m:
             low = m & -m
-            pool_ranks.append(low.bit_length() - 1)
             m ^= low
-        max_size = q * graph.k
-        cur_weight = graph.weight_of_mask(cur_mask)
-        cur_agents = graph.agents_of(current)
-        best_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        best: IndependentSet | None = None
-
-        def consider(x_mask: int, evict_mask: int) -> None:
-            nonlocal best_key, best
-            gain = graph.weight_of_mask(x_mask) - graph.weight_of_mask(evict_mask)
-            if gain <= 0:
-                return
-            added = graph.set_of(x_mask)
-            evicted = graph.set_of(evict_mask)
-            if require_loyalty:
-                added_agents = graph.agents_of(added)
-                evicted_agents = graph.agents_of(evicted)
-                if not evicted_agents <= added_agents:
-                    return
-                if not (added_agents - cur_agents):
-                    return
-            key = (
-                tuple(graph.rank(v) for v in graph.sorted_nodes(added)),
-                tuple(graph.rank(v) for v in graph.sorted_nodes(evicted)),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (current - evicted) | added
-
-        def extend(start: int, x_mask: int, x_size: int, evict_mask: int) -> None:
-            for pos in range(start, len(pool_ranks)):
-                r = pool_ranks[pos]
-                bit = 1 << r
-                if graph.adjacency_mask(r) & x_mask:
-                    continue
-                new_evict = evict_mask | (graph.adjacency_mask(r) & cur_mask)
-                if bin(new_evict).count("1") > q:
-                    continue
-                consider(x_mask | bit, new_evict)
-                if x_size + 1 < max_size:
-                    extend(pos + 1, x_mask | bit, x_size + 1, new_evict)
-
-        extend(0, 0, 0, 0)
-        if best is None:
+            r = low.bit_length() - 1
+            evicts = adj[r] & cur_mask
+            if evicts.bit_count() > q:
+                pool ^= low
+                continue
+            info[r] = (evicts, _agent_bits(graph, evicts), _agent_bits(graph, low))
+        if not pool:
             return None
+        max_size = q * graph.k
+        cur_agents = _agent_bits(graph, cur_mask)
+
+        def search(
+            cand: int, x_mask: int, x_agents: int,
+            evict: int, evict_agents: int, gain: int, size: int,
+        ) -> tuple[int, int] | None:
+            # gain = scaled weight of X minus that of its evicted set; the
+            # first passing X in DFS order is the answer (see all_for_q_rule)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                r = low.bit_length() - 1
+                r_evicts, r_evict_agents, r_agents = info[r]
+                new_evict = evict | r_evicts
+                if new_evict.bit_count() > q:
+                    continue
+                new_gain = gain + weights[r]
+                fresh = r_evicts & ~evict
+                while fresh:
+                    f = fresh & -fresh
+                    new_gain -= weights[f.bit_length() - 1]
+                    fresh ^= f
+                new_x = x_mask | low
+                new_agents = x_agents | r_agents
+                new_evict_agents = evict_agents | r_evict_agents
+                if new_gain > 0 and (
+                    not require_loyalty
+                    or (
+                        not new_evict_agents & ~new_agents
+                        and new_agents & ~cur_agents
+                    )
+                ):
+                    return new_x, new_evict
+                if size + 1 < max_size:
+                    found = search(
+                        cand & ~adj[r], new_x, new_agents,
+                        new_evict, new_evict_agents, new_gain, size + 1,
+                    )
+                    if found is not None:
+                        return found
+            return None
+
+        found = search(pool, 0, 0, 0, 0, 0, 0)
+        if found is None:
+            return None
+        x_mask, evict_mask = found
+        best = (current - graph.set_of(evict_mask)) | graph.set_of(x_mask)
         # sanity: the bookkeeping above can only produce heavier sets
-        assert graph.weight(best) > cur_weight
+        assert graph.weight(best) > graph.weight_of_mask(cur_mask)
         return best
 
     return apply_fn
@@ -132,6 +159,14 @@ def all_for_q_rule(q: int, require_loyalty: bool = True) -> ImprovementRule:
     currently served agent served and bring in at least one new agent;
     dropping the requirement yields the plain weight-improving swap rule,
     kept around as a deliberately manipulable specimen for the fuzz harness.
+
+    Among the passing candidates the rule returns the one with the smallest
+    key (sorted ranks of X, sorted ranks of the evicted set).  X alone fixes
+    its evicted set (its current neighbours), and the search walks the
+    independent subsets X of the usable pool, at most q*k nodes each, in
+    increasing order of their sorted rank tuples, a prefix before its
+    extensions.  So the first X that passes is the answer, and the search
+    stops there.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")

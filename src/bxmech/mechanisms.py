@@ -39,10 +39,17 @@ from .core import (
     Exchange,
     LengthFunction,
     TradingCycle,
-    WishListVector,
+    cycle_sort_key,
     parse_rational,
 )
-from .cyclegraph import CycleGraph, IndependentSet, build_graph, enumerate_cycles
+# build_graph and enumerate_cycles are unused here, but bxbench/tracer.py
+# wraps them at every module that imports them, this one included
+from .cyclegraph import (  # noqa: F401
+    CycleGraph,
+    IndependentSet,
+    build_graph,
+    enumerate_cycles,
+)
 from .exact import EXACT_NODE_CAP, max_weight_independent_set
 from .localsearch import (
     ImprovementRule,
@@ -331,29 +338,30 @@ class RandomizedMechanism:
 def randomized_wrapper(
     base: Mechanism,
     zeta: Fraction,
-    wishes: WishListVector,
-    lam: LengthFunction,
+    graph: CycleGraph,
     seed: int,
 ) -> Exchange:
-    """With probability 1 - zeta run the base mechanism; otherwise draw a
-    length uniformly from [2, k] and a single uniformly random cycle of that
-    length (identity exchange when the class is empty).
+    """With probability 1 - zeta run the base mechanism on ``graph``;
+    otherwise draw a length uniformly from [2, k] and a single uniformly
+    random node of that length, in (length, sequence) order (identity
+    exchange when the class is empty).
 
-    The draw is exact: a uniform integer below the denominator of zeta, so
-    the branch probability is the stated rational, not a float
-    approximation.  Deterministic for a fixed seed.
+    The base runs on the graph it is given, so it keeps that graph's node
+    order and tie-breaks.  The draw is exact: a uniform integer below the
+    denominator of zeta, so the branch probability is the stated rational,
+    not a float approximation.  Deterministic for a fixed seed.
     """
     if not 0 < zeta < 1:
         raise ValueError(f"zeta must lie strictly between 0 and 1, got {zeta}")
     rng = random.Random(seed)
-    cycles = enumerate_cycles(wishes, lam.k)
     if rng.randrange(zeta.denominator) < zeta.numerator:
-        length = rng.randrange(2, lam.k + 1)
-        pool = [c for c in cycles if c.length == length]
+        length = rng.randrange(2, graph.k + 1)
+        pool = sorted(
+            (c for c in graph.nodes if c.length == length), key=cycle_sort_key
+        )
         if not pool:
             return Exchange.identity()
         return Exchange(cycles=frozenset({pool[rng.randrange(len(pool))]}))
-    graph = build_graph(cycles, wishes.n, lam)
     return graph.exchange_from(base.solve(graph))
 
 

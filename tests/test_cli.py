@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import random
 
 from bxmech.cli import build_generator_spec, expand_generator_family, main
+from bxmech.instances import gen_random, save_instance
 
 
 def run(capsys, *argv):
@@ -122,6 +125,23 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["mechanism"].startswith("rand:zeta=1/10")
+
+    def test_randomized_base_keeps_node_order(self, tmp_path, capsys):
+        # seed 1 draws the base branch for zeta = 1/1000, so the wrapper must
+        # return exactly what its base returns on the instance's node order
+        bundle = gen_random(8, 3, 0.5, 7)
+        order = list(bundle.graph().nodes)
+        random.Random(0).shuffle(order)
+        path = tmp_path / "shuffled.json"
+        save_instance(dataclasses.replace(bundle, node_order=tuple(order)), path)
+        docs = []
+        for spec in ("ls:q=1", "rand:zeta=1/1000:base=ls:q=1"):
+            code, out, _ = run(capsys, "solve", str(path), spec, "--seed", "1")
+            assert code == 0
+            docs.append(json.loads(out))
+        plain, wrapped = docs
+        assert wrapped["exchange"] == plain["exchange"]
+        assert wrapped["welfare"] == plain["welfare"] == "8/1"
 
     def test_missing_file_exits_one(self, capsys):
         assert run(capsys, "solve", "/nonexistent.json", "greedy")[0] == 1

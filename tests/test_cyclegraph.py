@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bxmech.core import LengthFunction, TradingCycle, WishListVector, social_welfare
+from bxmech.core import (
+    LengthFunction,
+    TradingCycle,
+    WishListVector,
+    cycle_sort_key,
+    social_welfare,
+)
 from bxmech.cyclegraph import build_from_wishes, build_graph, enumerate_cycles
 from bxmech.instances import gen_random
 
@@ -56,7 +62,7 @@ def brute_force_cycles(wishes, k):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=8),
-    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=2, max_value=5),
     st.integers(min_value=0, max_value=10_000),
     st.sampled_from([0.2, 0.45, 0.7]),
 )
@@ -65,6 +71,7 @@ def test_enumeration_matches_brute_force(n, k, seed, p):
     found = enumerate_cycles(wishes, k)
     assert len(set(found)) == len(found)
     assert set(found) == brute_force_cycles(wishes, k)
+    assert found == sorted(found, key=cycle_sort_key)
 
 
 def test_build_rejects_duplicates():
@@ -97,6 +104,34 @@ def test_weights_and_sets():
     assert g.node_weight(v) == Fraction(27, 10)
     assert g.weight([]) == 0
     assert g.is_independent(frozenset())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [("1", "2/3"), ("5/6", "3/7"), ("1", "2/3", "3/7"), ("1", "5/6", "3/4")]
+    ),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+def test_weights_are_fractions_at_the_api(values, seed, data):
+    # integer weights inside, scaled by the LCM of the denominators; the API
+    # still answers with the rationals sum(l * lambda(l))
+    lam = LengthFunction.of(len(values) + 1, *values)
+    g = gen_random(6, lam.k, 0.4, seed, lam=lam).graph()
+    if not g.nodes:
+        return
+    picked = data.draw(st.sets(st.sampled_from(g.nodes)))
+    dropped = data.draw(st.sets(st.sampled_from(g.nodes)))
+    for graph in (g, g.remove_nodes(dropped)):
+        chosen = [v for v in picked if v in graph]
+        expect = sum((v.length * lam(v.length) for v in chosen), start=Fraction(0))
+        mask = graph.mask_of(chosen)
+        for total in (graph.weight(chosen), graph.weight_of_mask(mask)):
+            assert isinstance(total, Fraction) and total == expect
+        for v in chosen:
+            weight = graph.node_weight(v)
+            assert isinstance(weight, Fraction) and weight == v.length * lam(v.length)
 
 
 def test_remove_nodes_identity_and_empty():

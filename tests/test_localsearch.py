@@ -120,20 +120,37 @@ def reference_all_for_q(graph, current, q, require_loyalty=True):
     return best
 
 
-@settings(max_examples=60, deadline=None)
+# non-increasing length functions; the mixed denominators give the graph a
+# weight scale above 1
+LAMBDAS = {
+    3: [("1", "1"), ("1", "9/10"), ("1", "1/2"), ("1", "2/3"), ("5/6", "3/7")],
+    4: [("1", "1", "1"), ("1", "2/3", "3/7"), ("1", "5/6", "3/4")],
+}
+
+
+@settings(max_examples=150, deadline=None)
 @given(
+    st.sampled_from([(6, 3, 0.5), (5, 4, 0.4), (6, 4, 0.3)]),
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=1, max_value=2),
     st.booleans(),
-    st.sampled_from(["1", "9/10", "1/2"]),
+    st.data(),
 )
-def test_all_for_q_matches_brute_force_reference(seed, q, loyal, tail):
-    lam = LengthFunction.of(3, "1", tail)
-    g = gen_random(6, 3, 0.5, seed, lam=lam).graph()
+def test_all_for_q_matches_brute_force_reference(shape, seed, q, loyal, data):
+    n, k, p = shape
+    lam = LengthFunction.of(k, *data.draw(st.sampled_from(LAMBDAS[k])))
+    g = gen_random(n, k, p, seed, lam=lam).graph()
     if g.num_nodes == 0:
         return
-    # exercise the rule from a mid-search state, not just the greedy basin
-    start = run_local_search(g, [expansion_rule()]).final
+    g = build_graph(g.nodes, n, lam, node_order=data.draw(st.permutations(g.nodes)))
+    # start from the greedy basin or from a random independent set
+    if data.draw(st.booleans()):
+        start = run_local_search(g, [expansion_rule()]).final
+    else:
+        start = frozenset()
+        for v in data.draw(st.lists(st.sampled_from(g.nodes), max_size=6)):
+            if g.is_independent(start | {v}):
+                start |= {v}
     rule = all_for_q_rule(q, require_loyalty=loyal)
     assert rule.apply(g, start) == reference_all_for_q(g, start, q, loyal)
 

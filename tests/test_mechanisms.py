@@ -226,47 +226,44 @@ class TestRandomizedWrapper:
     def wishes(self):
         return WishListVector.from_dict(4, {1: {2}, 2: {1}, 3: {4}, 4: {3}})
 
+    def graph(self):
+        return build_from_wishes(self.wishes(), UNIFORM3)
+
     def test_deterministic_given_seed(self):
-        w = self.wishes()
+        g = self.graph()
         outs = {
-            randomized_wrapper(greedy_mechanism(), Fraction(1, 10), w, UNIFORM3, 7).cycles
+            randomized_wrapper(greedy_mechanism(), Fraction(1, 10), g, 7).cycles
             for _ in range(5)
         }
         assert len(outs) == 1
 
     def test_base_branch_returns_mechanism_output(self):
-        w = self.wishes()
         # seed 0 draws the base branch for zeta = 1/10
-        ex = randomized_wrapper(greedy_mechanism(), Fraction(1, 10), w, UNIFORM3, 0)
+        ex = randomized_wrapper(greedy_mechanism(), Fraction(1, 10), self.graph(), 0)
         assert len(ex.cycles) == 2
 
     def test_no_cycles_gives_identity_on_lottery_branch(self):
-        w = WishListVector.from_dict(3, {1: {2}, 2: {3}})
+        g = build_from_wishes(WishListVector.from_dict(3, {1: {2}, 2: {3}}), UNIFORM3)
         hit_identity = False
         for seed in range(200):
-            ex = randomized_wrapper(greedy_mechanism(), Fraction(1, 2), w, UNIFORM3, seed)
+            ex = randomized_wrapper(greedy_mechanism(), Fraction(1, 2), g, seed)
             assert ex.cycles == frozenset()
             hit_identity = True
         assert hit_identity
 
     def test_rejects_bad_zeta(self):
         with pytest.raises(ValueError):
-            randomized_wrapper(
-                greedy_mechanism(), Fraction(0), self.wishes(), UNIFORM3, 0
-            )
+            randomized_wrapper(greedy_mechanism(), Fraction(0), self.graph(), 0)
 
     def test_lottery_frequency_matches_zeta(self):
         # base branch always returns both 2-cycles; the lottery branch never does
-        w = self.wishes()
+        g = self.graph()
         zeta = Fraction(1, 10)
         draws = 10_000
         lottery = sum(
             1
             for seed in range(draws)
-            if len(
-                randomized_wrapper(greedy_mechanism(), zeta, w, UNIFORM3, seed).cycles
-            )
-            <= 1
+            if len(randomized_wrapper(greedy_mechanism(), zeta, g, seed).cycles) <= 1
         )
         mean = draws * zeta
         sigma = (draws * zeta * (1 - zeta)) ** Fraction(1, 2)
@@ -275,14 +272,14 @@ class TestRandomizedWrapper:
     def test_expected_welfare_dominates_discounted_base(self):
         from bxmech.core import social_welfare
 
-        w = self.wishes()
+        w, g = self.wishes(), self.graph()
         zeta = Fraction(1, 4)
         base_welfare = Fraction(4)  # both 2-cycles
         draws = 4000
         total = sum(
             (
                 social_welfare(
-                    randomized_wrapper(greedy_mechanism(), zeta, w, UNIFORM3, seed),
+                    randomized_wrapper(greedy_mechanism(), zeta, g, seed),
                     w,
                     UNIFORM3,
                 )

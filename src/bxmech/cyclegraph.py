@@ -14,13 +14,16 @@ The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
 choice made by the search rules refers to this order.  Adjacency is stored
 as bitmasks over node indices, which keeps the inner loops of local search
-and the exact solvers cheap.
+and the exact solvers cheap.  Removing nodes does not rebuild anything: the
+restricted graph shares the built graph's tables and carries a smaller mask
+of alive nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -40,28 +43,28 @@ def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
 
     Each cycle is reported once, in canonical rotation, via a DFS that only
     extends paths with agents larger than the start agent (so the start is
-    always the cycle minimum).  The result is sorted by (length, sequence),
-    so the DFS may visit successors in any order.
+    always the cycle minimum).  A path one short of full length is not
+    pushed: its extension by ``nxt`` can only close, so it is reported at
+    once when ``nxt`` wishes for the start.  The result is sorted by
+    (length, sequence), so the DFS may visit successors in any order.
     """
     if k < 2:
         raise ValueError(f"length bound must be >= 2, got {k}")
     found: list[TradingCycle] = []
-    n = wishes.n
-    for start in range(1, n + 1):
+    wish = wishes.wish  # wish[a - 1] is agent a's wish list
+    for start in range(1, wishes.n + 1):
         stack: list[tuple[int, tuple[int, ...]]] = [(start, (start,))]
         while stack:
             current, path = stack.pop()
-            succ = wishes.of(current)
-            if len(path) == k:
-                # a path of full length can only close
-                if start in succ:
-                    found.append(TradingCycle(path))
-                continue
-            for nxt in succ:
+            last = len(path) + 1 == k
+            for nxt in wish[current - 1]:
                 if nxt == start and len(path) >= 2:
                     found.append(TradingCycle(path))
                 elif nxt > start and nxt not in path:
-                    stack.append((nxt, path + (nxt,)))
+                    if not last:
+                        stack.append((nxt, path + (nxt,)))
+                    elif start in wish[nxt - 1]:
+                        found.append(TradingCycle(path + (nxt,)))
     found.sort(key=cycle_sort_key)
     return found
 
@@ -70,36 +73,54 @@ def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
 class CycleGraph:
     """Immutable conflict graph over trading cycles.
 
-    Construct through :func:`build_graph`; ``nodes`` is already sorted by the
-    graph's node order, so the rank of a node is its index.  ``_weights[i]``
-    is the weight of node i times ``_scale``, an int.
+    Construct through :func:`build_graph`.  The tables (``_nodes``,
+    ``_rank``, ``_adj``, ``_agent_mask``, ``_length_mask``, ``_weights``) are
+    those of the built graph, and bit i of every mask means node i of it;
+    ``_weights[i]`` is the weight of node i times ``_scale``, an int.
+    ``_alive`` marks the nodes present: :meth:`remove_nodes` returns the same
+    tables with a smaller alive mask, and every query answers for the alive
+    nodes only.
+
+    The rank of a node is its index in the built graph.  On a restricted
+    graph the ranks may skip numbers, but they keep the order, so ranks
+    still compare exactly as the graph's node order does, and ``nodes``
+    lists the alive nodes in that order.
     """
 
     n: int
     lam: LengthFunction
-    nodes: tuple[TradingCycle, ...]
+    _nodes: tuple[TradingCycle, ...]
     _rank: Mapping[TradingCycle, int]
     _adj: tuple[int, ...]
     _agent_mask: Mapping[int, int]
+    _length_mask: Mapping[int, int]
     _weights: tuple[int, ...]
     _scale: int
+    _alive: int
 
     @property
     def k(self) -> int:
         return self.lam.k
 
+    @cached_property
+    def nodes(self) -> tuple[TradingCycle, ...]:
+        if self._alive == (1 << len(self._nodes)) - 1:
+            return self._nodes
+        return self.nodes_of(self._alive)
+
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return self._alive.bit_count()
 
     def __contains__(self, node: TradingCycle) -> bool:
-        return node in self._rank
+        r = self._rank.get(node)
+        return r is not None and (self._alive >> r) & 1 == 1
 
     def rank(self, node: TradingCycle) -> int:
-        try:
-            return self._rank[node]
-        except KeyError:
-            raise KeyError(f"unknown node {node}") from None
+        r = self._rank.get(node)
+        if r is None or not (self._alive >> r) & 1:
+            raise KeyError(f"unknown node {node}")
+        return r
 
     def node_weight(self, node: TradingCycle) -> Fraction:
         return Fraction(self._weights[self.rank(node)], self._scale)
@@ -108,18 +129,30 @@ class CycleGraph:
         return Fraction(sum(self._weights[self.rank(v)] for v in nodes), self._scale)
 
     def mask_of(self, nodes: Iterable[TradingCycle]) -> int:
+        rank = self._rank
         mask = 0
-        for v in nodes:
-            mask |= 1 << self.rank(v)
+        try:
+            for v in nodes:
+                mask |= 1 << rank[v]
+        except KeyError:
+            raise KeyError(f"unknown node {v}") from None
+        dead = mask & ~self._alive
+        if dead:
+            raise KeyError(f"unknown node {self._nodes[dead.bit_length() - 1]}")
         return mask
 
-    def set_of(self, mask: int) -> IndependentSet:
+    def nodes_of(self, mask: int) -> tuple[TradingCycle, ...]:
+        """The nodes of the bits of ``mask``, in node order."""
+        nodes = self._nodes
         out = []
         while mask:
             low = mask & -mask
-            out.append(self.nodes[low.bit_length() - 1])
+            out.append(nodes[low.bit_length() - 1])
             mask ^= low
-        return frozenset(out)
+        return tuple(out)
+
+    def set_of(self, mask: int) -> IndependentSet:
+        return frozenset(self.nodes_of(mask))
 
     def weight_of_mask(self, mask: int) -> Fraction:
         total = 0
@@ -130,13 +163,13 @@ class CycleGraph:
         return Fraction(total, self._scale)
 
     def neighbors(self, node: TradingCycle) -> IndependentSet:
-        return self.set_of(self._adj[self.rank(node)])
+        return self.set_of(self._adj[self.rank(node)] & self._alive)
 
     def neighborhood(self, nodes: Iterable[TradingCycle]) -> IndependentSet:
         mask = 0
         for v in nodes:
             mask |= self._adj[self.rank(v)]
-        return self.set_of(mask)
+        return self.set_of(mask & self._alive)
 
     def neighborhood_mask(self, mask: int) -> int:
         out = 0
@@ -144,7 +177,7 @@ class CycleGraph:
             low = mask & -mask
             out |= self._adj[low.bit_length() - 1]
             mask ^= low
-        return out
+        return out & self._alive
 
     def is_independent(self, nodes: Iterable[TradingCycle]) -> bool:
         mask = 0
@@ -163,56 +196,33 @@ class CycleGraph:
         return frozenset(out)
 
     def agent_nodes(self, agent: int) -> IndependentSet:
-        return self.set_of(self._agent_mask.get(agent, 0))
+        return self.set_of(self._agent_mask.get(agent, 0) & self._alive)
 
-    def adjacency_mask(self, index: int) -> int:
-        return self._adj[index]
+    def length_mask(self, length: int) -> int:
+        """Mask of the alive nodes of the given length."""
+        return self._length_mask.get(length, 0) & self._alive
 
     def sorted_nodes(self, nodes: Iterable[TradingCycle]) -> list[TradingCycle]:
         return sorted(nodes, key=self.rank)
 
     def remove_nodes(self, dropped: Iterable[TradingCycle]) -> "CycleGraph":
-        """Induced subgraph on the remaining nodes; node order is inherited.
-
-        Rebuilt by compressing the cached bitmasks: nodes were validated at
-        construction, so no re-validation or weight arithmetic is needed.
-        """
+        """Induced subgraph on the remaining nodes: the same tables with the
+        dropped nodes cleared from the alive mask, so node order and ranks
+        are inherited."""
         drop_mask = self.mask_of(dropped)
         if not drop_mask:
             return self
-        keep = [i for i in range(len(self.nodes)) if not (drop_mask >> i) & 1]
-        position = {old: new for new, old in enumerate(keep)}
-        keep_mask = 0
-        for old in keep:
-            keep_mask |= 1 << old
-
-        def compress(mask: int) -> int:
-            # agent masks are sparse, so per-bit remapping is cheap
-            mask &= keep_mask
-            out = 0
-            while mask:
-                low = mask & -mask
-                out |= 1 << position[low.bit_length() - 1]
-                mask ^= low
-            return out
-
-        nodes = tuple(self.nodes[i] for i in keep)
-        agent_mask = {a: compress(m) for a, m in self._agent_mask.items()}
-        adj = []
-        for j, v in enumerate(nodes):
-            mask = 0
-            for a in v.agents:
-                mask |= agent_mask[a]
-            adj.append(mask & ~(1 << j))
         return CycleGraph(
-            n=self.n,
-            lam=self.lam,
-            nodes=nodes,
-            _rank={v: j for j, v in enumerate(nodes)},
-            _adj=tuple(adj),
-            _agent_mask=agent_mask,
-            _weights=tuple(self._weights[i] for i in keep),
-            _scale=self._scale,
+            self.n,
+            self.lam,
+            self._nodes,
+            self._rank,
+            self._adj,
+            self._agent_mask,
+            self._length_mask,
+            self._weights,
+            self._scale,
+            self._alive & ~drop_mask,
         )
 
     def exchange_from(self, independent: Iterable[TradingCycle]) -> Exchange:
@@ -254,9 +264,11 @@ def build_graph(
             raise ValueError("node_order must be a permutation of the cycles")
     rank = {v: i for i, v in enumerate(ordered)}
     agent_mask: dict[int, int] = {}
+    length_mask: dict[int, int] = {}
     for i, v in enumerate(ordered):
         for a in v.agents:
             agent_mask[a] = agent_mask.get(a, 0) | (1 << i)
+        length_mask[v.length] = length_mask.get(v.length, 0) | (1 << i)
     adj = []
     for i, v in enumerate(ordered):
         mask = 0
@@ -270,12 +282,14 @@ def build_graph(
     return CycleGraph(
         n=n,
         lam=lam,
-        nodes=tuple(ordered),
+        _nodes=tuple(ordered),
         _rank=rank,
         _adj=tuple(adj),
         _agent_mask=agent_mask,
+        _length_mask=length_mask,
         _weights=weights,
         _scale=scale,
+        _alive=(1 << len(ordered)) - 1,
     )
 
 

@@ -7,10 +7,11 @@ tuples).  Equal-weight bounds therefore prune safely: anything found later
 ties at best and loses the tie-break.
 
 The bound is exact where it is cheap to be: when the agent count is small a
-full DP over agent subsets is computed first (independent sets of a cycle
-graph are exactly agent-disjoint node packings), and the DP value on the
-yet-uncovered agents bounds every completion.  Graphs with many agents but
-few nodes fall back to suffix weight sums.
+full DP over the subsets of the agents the allowed nodes touch is computed
+first (independent sets of a cycle graph are exactly agent-disjoint node
+packings), and the DP value on the yet-uncovered agents bounds every
+completion.  Graphs with many agents but few nodes fall back to suffix
+weight sums.
 
 Both solvers run on the graph's scaled integer weights (node weight times
 ``graph._scale``), which order sets exactly as the rational weights do.
@@ -18,7 +19,7 @@ Both solvers run on the graph's scaled integer weights (node weight times
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import TradingCycle
 from .cyclegraph import CycleGraph, IndependentSet
@@ -32,16 +33,24 @@ class ExactSearchCapExceeded(RuntimeError):
     """The instance is too large for exhaustive search under the given caps."""
 
 
-def _agent_bit(agent: int) -> int:
-    return 1 << (agent - 1)
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> dict[int, int]:
+    """Bitmask of each allowed node's agents, over the agents the allowed
+    nodes touch: the i-th smallest such agent is bit i."""
+    touched = sorted({a for idx in allowed for a in graph._nodes[idx].agents})
+    bit = {a: 1 << i for i, a in enumerate(touched)}
     out: dict[int, int] = {}
     for idx in allowed:
         mask = 0
-        for a in graph.nodes[idx].agents:
-            mask |= _agent_bit(a)
+        for a in graph._nodes[idx].agents:
+            mask |= bit[a]
         out[idx] = mask
     return out
 
@@ -50,21 +59,27 @@ def _packing_dp(
     graph: CycleGraph, allowed: Sequence[int], node_agents: dict[int, int]
 ) -> list[int]:
     """f[S] = best scaled packing weight using allowed nodes whose agents lie
-    in S."""
-    by_agent: dict[int, list[int]] = {}
-    for idx in allowed:
-        for a in graph.nodes[idx].agents:
-            by_agent.setdefault(a, []).append(idx)
+    in S, for every subset S of the touched agents (``node_agents`` bits)."""
     weights = graph._weights
-    table = [0] * (1 << graph.n)
-    for subset in range(1, 1 << graph.n):
+    # lowest agent bit -> (agent mask, weight) of the nodes holding that agent
+    by_agent: dict[int, list[tuple[int, int]]] = {}
+    touched = 0
+    for idx in allowed:
+        am = node_agents[idx]
+        touched |= am
+        m = am
+        while m:
+            low = m & -m
+            by_agent.setdefault(low, []).append((am, weights[idx]))
+            m ^= low
+    size = 1 << touched.bit_length()
+    table = [0] * size
+    for subset in range(1, size):
         low_bit = subset & -subset
-        agent = low_bit.bit_length()
         best = table[subset ^ low_bit]
-        for idx in by_agent.get(agent, ()):
-            am = node_agents[idx]
+        for am, w in by_agent.get(low_bit, ()):
             if am & subset == am:
-                cand = weights[idx] + table[subset ^ am]
+                cand = w + table[subset ^ am]
                 if cand > best:
                     best = cand
         table[subset] = best
@@ -82,10 +97,8 @@ def max_weight_independent_set(
     rejects instances whose agent count rules out the subset DP and whose
     node count exceeds the cap, instead of attempting a hopeless search.
     """
-    if within is None:
-        allowed = list(range(graph.num_nodes))
-    else:
-        allowed = sorted(graph.rank(v) for v in set(within))
+    mask = graph._alive if within is None else graph.mask_of(within)
+    allowed = list(_bits(mask))
     if not allowed:
         return frozenset()
 
@@ -150,10 +163,8 @@ def naive_max_weight_independent_set(
     Same tie-break as the branch-and-bound (first optimum by sorted rank
     tuples), so the two solvers must agree exactly.
     """
-    if within is None:
-        allowed = list(range(graph.num_nodes))
-    else:
-        allowed = sorted(graph.rank(v) for v in set(within))
+    mask = graph._alive if within is None else graph.mask_of(within)
+    allowed = list(_bits(mask))
     m = len(allowed)
     if m > hard_cap:
         raise ExactSearchCapExceeded(f"{m} nodes exceeds the naive cap {hard_cap}")
@@ -185,5 +196,5 @@ def naive_max_weight_independent_set(
         if weight > best_weight or (weight == best_weight and key < best_key):
             best_weight = weight
             best_key = key
-            best = frozenset(graph.nodes[i] for i in members)
+            best = frozenset(graph._nodes[i] for i in members)
     return best

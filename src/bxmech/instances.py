@@ -560,25 +560,58 @@ def save_instance(bundle: InstanceBundle, path: str | Path) -> None:
     Path(path).write_text(bundle_to_text(bundle), encoding="utf-8")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(doc: Mapping, key: str) -> int:
+    if key not in doc:
+        raise ValueError(f"instance has no {key!r} field")
+    value = doc[key]
+    if not _is_int(value):
+        raise ValueError(f"instance field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_lists_field(doc: Mapping, key: str) -> list[list[int]] | None:
+    rows = doc.get(key)
+    if rows is not None and not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and all(map(_is_int, row)) for row in rows)
+    ):
+        raise ValueError(f"instance field {key!r} must be a list of integer lists")
+    return rows
+
+
 def bundle_from_json_dict(doc: Mapping) -> InstanceBundle:
+    """The bundle of a parsed bx-v1 document; a document of the wrong shape
+    raises ValueError."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(
+            f"an instance must be a JSON object, got {type(doc).__name__}"
+        )
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unsupported instance format {doc.get('format')!r}")
-    n = int(doc["n"])
-    k = int(doc["k"])
-    lam = LengthFunction(
-        k=k, values=tuple(parse_rational(v) for v in doc["lambda"])
-    )
+    n = _int_field(doc, "n")
+    k = _int_field(doc, "k")
+    values = doc.get("lambda")
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise ValueError("instance field 'lambda' must be a list of rational strings")
+    lam = LengthFunction(k=k, values=tuple(parse_rational(v) for v in values))
     wishes = None
-    if doc.get("wishes") is not None:
-        wishes = WishListVector.from_dict(
-            n, {i + 1: doc["wishes"][i] for i in range(n)}
-        )
+    rows = _int_lists_field(doc, "wishes")
+    if rows is not None:
+        if len(rows) != n:
+            raise ValueError(f"expected {n} wish lists, got {len(rows)}")
+        wishes = WishListVector.from_dict(n, {i + 1: rows[i] for i in range(n)})
     direct = None
-    if doc.get("direct_nodes") is not None:
-        direct = tuple(TradingCycle(tuple(c)) for c in doc["direct_nodes"])
+    rows = _int_lists_field(doc, "direct_nodes")
+    if rows is not None:
+        direct = tuple(TradingCycle(tuple(c)) for c in rows)
     order = None
-    if doc.get("node_order") is not None:
-        order = tuple(TradingCycle(tuple(c)) for c in doc["node_order"])
+    rows = _int_lists_field(doc, "node_order")
+    if rows is not None:
+        order = tuple(TradingCycle(tuple(c)) for c in rows)
     expected = doc.get("expected")
     params = doc.get("params")
     return InstanceBundle(

@@ -48,11 +48,11 @@ class ImprovementRule:
 def _expansion_apply(graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
     cur_mask = graph.mask_of(current)
     blocked = cur_mask | graph.neighborhood_mask(cur_mask)
-    candidates = ((1 << graph.num_nodes) - 1) & ~blocked
+    candidates = graph._alive & ~blocked
     if not candidates:
         return None
     low = candidates & -candidates
-    return current | {graph.nodes[low.bit_length() - 1]}
+    return current | {graph._nodes[low.bit_length() - 1]}
 
 
 def expansion_rule() -> ImprovementRule:
@@ -65,7 +65,7 @@ def _agent_bits(graph: CycleGraph, mask: int) -> int:
     out = 0
     while mask:
         low = mask & -mask
-        for a in graph.nodes[low.bit_length() - 1].agents:
+        for a in graph._nodes[low.bit_length() - 1].agents:
             out |= 1 << a
         mask ^= low
     return out
@@ -222,6 +222,7 @@ def run_local_search(
         raise ValueError("need at least one improvement rule")
     current: IndependentSet = frozenset()
     current_weight = Fraction(0)
+    current_agents: frozenset[int] = frozenset()
     steps: list[TraceStep] = []
     while True:
         fired = False
@@ -238,11 +239,13 @@ def run_local_search(
                 raise RuleContractError(
                     f"rule {rule.name} returned a non-improving set"
                 )
-            if rule.loyal and not graph.agents_of(current) <= graph.agents_of(result):
+            new_agents = graph.agents_of(result)
+            if rule.loyal and not current_agents <= new_agents:
                 raise RuleContractError(
                     f"rule {rule.name} is flagged loyal but dropped an agent"
                 )
-            current, current_weight = frozenset(result), new_weight
+            current = frozenset(result)
+            current_weight, current_agents = new_weight, new_agents
             steps.append(TraceStep(idx, rule.name, current))
             if stats is not None:
                 stats.record(rule.name)

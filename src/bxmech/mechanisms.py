@@ -32,13 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .core import (
     Exchange,
     LengthFunction,
-    TradingCycle,
     cycle_sort_key,
     parse_rational,
 )
@@ -83,7 +83,10 @@ class LambdaProfile:
     flat_tail: bool | None
 
 
+@cache
 def lambda_profile(lam: LengthFunction) -> LambdaProfile:
+    """The profile of ``lam``, computed once per length function (the result
+    is shared, so ``equal_classes`` is read-only)."""
     k = lam.k
     pairs = [
         (lo, hi)
@@ -94,10 +97,10 @@ def lambda_profile(lam: LengthFunction) -> LambdaProfile:
     tumbles = tuple(
         sorted({ell for ell in range(2, k) if lam(ell) > lam(ell + 1)} | {k})
     )
-    classes = {
+    classes = MappingProxyType({
         ell: tuple(e for e in range(2, ell + 1) if lam(e) == lam(ell))
         for ell in tumbles
-    }
+    })
     if not pairs:
         return LambdaProfile(
             lam=lam,
@@ -139,8 +142,9 @@ def concatenate(head: Solver, tail: Solver) -> Solver:
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         first = head(graph, stats)
-        closed = first | graph.neighborhood(first)
-        return first | tail(graph.remove_nodes(closed), stats)
+        picked = graph.mask_of(first)
+        closed = picked | graph.neighborhood_mask(picked)
+        return first | tail(graph.remove_nodes(graph.nodes_of(closed)), stats)
 
     return run
 
@@ -155,17 +159,19 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
     """
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+        adj = graph._adj
         blocked = 0
-        picks: list[TradingCycle] = []
+        picks = 0
         for j in range(lo, (graph.k if hi is None else hi) + 1):
-            for idx, node in enumerate(graph.nodes):
-                if node.length != j or (1 << idx) & blocked:
-                    continue
-                blocked |= (1 << idx) | graph.adjacency_mask(idx)
-                picks.append(node)
+            cand = graph.length_mask(j) & ~blocked
+            while cand:
+                low = cand & -cand
+                picks |= low
+                blocked |= low | adj[low.bit_length() - 1]
+                cand &= ~blocked
                 if stats is not None:
                     stats.record(f"expand[len={j}]")
-        return frozenset(picks)
+        return graph.set_of(picks)
 
     return run
 
@@ -184,8 +190,13 @@ def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         target = graph.lam(ell)
-        members = [v for v in graph.nodes if graph.lam(v.length) == target]
-        return max_weight_independent_set(graph, within=members, node_cap=node_cap)
+        mask = 0
+        for length in range(2, graph.k + 1):
+            if graph.lam(length) == target:
+                mask |= graph.length_mask(length)
+        return max_weight_independent_set(
+            graph, within=graph.nodes_of(mask), node_cap=node_cap
+        )
 
     return run
 
@@ -261,6 +272,19 @@ def broken_swap_algorithm(q: int) -> Mechanism:
     )
 
 
+@cache
+def _nu_solver(q: int, ell_star: int) -> Solver:
+    # the greedy head picks or blocks every node of length <= ell_star, so
+    # the tail searches only the longer cycles
+    tail = local_search(
+        *(
+            replace(rule, name=f"{rule.name}[>{ell_star}]")
+            for rule in (expansion_rule(), all_for_q_rule(q))
+        )
+    )
+    return concatenate(greedy_solver(hi=ell_star), tail)
+
+
 def nu_mechanism(q: int) -> Mechanism:
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         ell_star = lambda_profile(graph.lam).ell_star
@@ -268,15 +292,7 @@ def nu_mechanism(q: int) -> Mechanism:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        # the greedy head picks or blocks every node of length <= ell_star,
-        # so the tail searches only the longer cycles
-        tail = local_search(
-            *(
-                replace(rule, name=f"{rule.name}[>{ell_star}]")
-                for rule in (expansion_rule(), all_for_q_rule(q))
-            )
-        )
-        return concatenate(greedy_solver(hi=ell_star), tail)(graph, stats)
+        return _nu_solver(q, ell_star)(graph, stats)
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)

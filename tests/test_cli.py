@@ -2,6 +2,8 @@ import dataclasses
 import json
 import random
 
+import pytest
+
 from bxmech.cli import build_generator_spec, expand_generator_family, main
 from bxmech.instances import gen_random, save_instance
 
@@ -142,6 +144,28 @@ class TestSolve:
         plain, wrapped = docs
         assert wrapped["exchange"] == plain["exchange"]
         assert wrapped["welfare"] == plain["welfare"] == "8/1"
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "n"}, "no 'n' field"),
+            (lambda doc: {**doc, "wishes": doc["wishes"][:-1]}, "expected 6 wish lists, got 5"),
+            (lambda doc: [doc], "must be a JSON object, got list"),
+            (lambda doc: {**doc, "n": None}, "'n' must be an integer"),
+            (lambda doc: {**doc, "wishes": [1] * 6}, "list of integer lists"),
+            (lambda doc: {**doc, "lambda": ["1", "1/0"]}, "zero denominator"),
+        ],
+        ids=["no-n", "short-wishes", "top-level-list", "null-n", "flat-wishes", "zero-den"],
+    )
+    def test_malformed_instance_exits_one(self, tmp_path, capsys, damage, message):
+        # a damaged file is an input error, reported without a traceback
+        doc = json.loads(gen_file(tmp_path, "rand:n=6,p=0.5,seed=4").read_text())
+        capsys.readouterr()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(damage(doc)))
+        code, out, err = run(capsys, "solve", str(path), "greedy")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_missing_file_exits_one(self, capsys):
         assert run(capsys, "solve", "/nonexistent.json", "greedy")[0] == 1

@@ -205,6 +205,24 @@ class TestDriver:
             # second application returns the same single node: not heavier
             run_local_search(g, [lighter, trace_rule_fires_then_stalls])
 
+    def test_loyal_flag_violation_aborts(self):
+        # a non-loyal rule serves agents 1 and 2 first; the loyal-flagged
+        # rule then swaps in a heavier cycle that drops them
+        pair, triple = TradingCycle((1, 2)), TradingCycle((3, 4, 5))
+        g = graph_of([(1, 2), (3, 4, 5)], 5)
+        disloyal = ImprovementRule(
+            name="bad-loyal",
+            loyal=True,
+            _apply_fn=lambda graph, cur: frozenset({triple}) if cur else None,
+        )
+        seed = ImprovementRule(
+            name="seed",
+            loyal=False,
+            _apply_fn=lambda graph, cur: None if cur else frozenset({pair}),
+        )
+        with pytest.raises(RuleContractError, match="dropped an agent"):
+            run_local_search(g, [disloyal, seed])
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=2))

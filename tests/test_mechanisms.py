@@ -66,6 +66,14 @@ class TestLambdaProfile:
         assert p.tumbles == (2, 4)
         assert p.equal_classes[4] == (3, 4)
 
+    def test_profile_is_shared_and_read_only(self):
+        lam = LengthFunction.of(4, "1", "9/10", "9/10")
+        p = lambda_profile(lam)
+        assert lambda_profile(LengthFunction.of(4, "1", "9/10", "9/10")) is p
+        with pytest.raises(TypeError):
+            p.equal_classes[4] = (4,)
+        assert p.equal_classes[4] == (3, 4)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=3, max_value=6),
@@ -335,3 +343,59 @@ class TestSpecParsing:
         assert parse_mechanism("nu:q=2").claimed_bound(FLAT3) == Fraction(27, 10)
         assert parse_mechanism("io").claimed_bound(STEEP3) == Fraction(7, 4)
         assert parse_mechanism("io").claimed_bound(UNIFORM3) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            (3, 0.5, ("1", "2/3")),
+            (3, 0.6, ("5/6", "3/7")),
+            (4, 0.35, ("1", "2/3", "3/7")),
+            (4, 0.4, ("1", "5/6", "3/4")),
+        ]
+    ),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+def test_restricted_graph_matches_rebuilt_graph(case, seed, data):
+    # a restricted graph shares its parent's tables and ranks; it must answer
+    # and solve exactly as a graph built afresh from its nodes in its order
+    k, p, values = case
+    lam = LengthFunction.of(k, *values)
+    graph = gen_random(7, k, p, seed, lam=lam).graph()
+    order = data.draw(st.permutations(graph.nodes))
+    view = build_graph(graph.nodes, graph.n, lam, node_order=order)
+    dropped_so_far: list[TradingCycle] = []
+    mechanisms = [
+        parse_mechanism(spec)
+        for spec in ("greedy", "ls:q=1", "ls:q=2", "nu:q=1", "nu:q=2", "io")
+    ] + [opt_mechanism(ell) for ell in range(2, k + 1)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if not view.nodes:
+            break
+        dropped = data.draw(st.sets(st.sampled_from(view.nodes), max_size=6))
+        parent, view = view, view.remove_nodes(dropped)
+        dropped_so_far.extend(dropped)
+        rebuilt = build_graph(view.nodes, graph.n, lam, node_order=view.nodes)
+        assert view.nodes == tuple(v for v in parent.nodes if v not in dropped)
+        assert view.num_nodes == rebuilt.num_nodes
+        for v in view.nodes:
+            assert view.neighbors(v) == rebuilt.neighbors(v)
+            assert view.node_weight(v) == rebuilt.node_weight(v)
+        for agent in range(1, graph.n + 1):
+            assert view.agent_nodes(agent) == rebuilt.agent_nodes(agent)
+        some = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
+        assert view.neighborhood(some) == rebuilt.neighborhood(some)
+        assert view.weight(view.nodes) == rebuilt.weight(rebuilt.nodes)
+        shuffled = data.draw(st.permutations(view.nodes))
+        assert view.sorted_nodes(shuffled) == list(view.nodes)
+        for v in dropped_so_far:
+            assert v not in view
+            with pytest.raises(KeyError):
+                view.rank(v)
+            with pytest.raises(KeyError):
+                view.remove_nodes([v])
+        for m in mechanisms:
+            assert m.solve(view) == m.solve(rebuilt), m.name
+        assert oracle_max_weight_is(view) == oracle_max_weight_is(rebuilt)

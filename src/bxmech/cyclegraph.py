@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Exchange,
@@ -36,6 +36,14 @@ from .core import (
 )
 
 IndependentSet = frozenset[TradingCycle]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
@@ -143,24 +151,13 @@ class CycleGraph:
 
     def nodes_of(self, mask: int) -> tuple[TradingCycle, ...]:
         """The nodes of the bits of ``mask``, in node order."""
-        nodes = self._nodes
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(nodes[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return tuple(self._nodes[i] for i in bits(mask))
 
     def set_of(self, mask: int) -> IndependentSet:
         return frozenset(self.nodes_of(mask))
 
     def weight_of_mask(self, mask: int) -> Fraction:
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self._weights[low.bit_length() - 1]
-            mask ^= low
-        return Fraction(total, self._scale)
+        return Fraction(sum(self._weights[i] for i in bits(mask)), self._scale)
 
     def neighbors(self, node: TradingCycle) -> IndependentSet:
         return self.set_of(self._adj[self.rank(node)] & self._alive)

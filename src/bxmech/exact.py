@@ -19,10 +19,10 @@ Both solvers run on the graph's scaled integer weights (node weight times
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import TradingCycle
-from .cyclegraph import CycleGraph, IndependentSet
+from .cyclegraph import CycleGraph, IndependentSet, bits
 
 DP_AGENT_CAP = 16
 # default node cap of a branch-and-bound search (more than DP_AGENT_CAP agents)
@@ -31,14 +31,6 @@ EXACT_NODE_CAP = 40
 
 class ExactSearchCapExceeded(RuntimeError):
     """The instance is too large for exhaustive search under the given caps."""
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> dict[int, int]:
@@ -98,7 +90,7 @@ def max_weight_independent_set(
     node count exceeds the cap, instead of attempting a hopeless search.
     """
     mask = graph._alive if within is None else graph.mask_of(within)
-    allowed = list(_bits(mask))
+    allowed = list(bits(mask))
     if not allowed:
         return frozenset()
 
@@ -164,7 +156,7 @@ def naive_max_weight_independent_set(
     tuples), so the two solvers must agree exactly.
     """
     mask = graph._alive if within is None else graph.mask_of(within)
-    allowed = list(_bits(mask))
+    allowed = list(bits(mask))
     m = len(allowed)
     if m > hard_cap:
         raise ExactSearchCapExceeded(f"{m} nodes exceeds the naive cap {hard_cap}")

@@ -142,9 +142,8 @@ def concatenate(head: Solver, tail: Solver) -> Solver:
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         first = head(graph, stats)
-        picked = graph.mask_of(first)
-        closed = picked | graph.neighborhood_mask(picked)
-        return first | tail(graph.remove_nodes(graph.nodes_of(closed)), stats)
+        closed = first | graph.neighborhood(first)
+        return first | tail(graph.remove_nodes(closed), stats)
 
     return run
 
@@ -272,19 +271,6 @@ def broken_swap_algorithm(q: int) -> Mechanism:
     )
 
 
-@cache
-def _nu_solver(q: int, ell_star: int) -> Solver:
-    # the greedy head picks or blocks every node of length <= ell_star, so
-    # the tail searches only the longer cycles
-    tail = local_search(
-        *(
-            replace(rule, name=f"{rule.name}[>{ell_star}]")
-            for rule in (expansion_rule(), all_for_q_rule(q))
-        )
-    )
-    return concatenate(greedy_solver(hi=ell_star), tail)
-
-
 def nu_mechanism(q: int) -> Mechanism:
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
         ell_star = lambda_profile(graph.lam).ell_star
@@ -292,7 +278,15 @@ def nu_mechanism(q: int) -> Mechanism:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        return _nu_solver(q, ell_star)(graph, stats)
+        # the greedy head picks or blocks every node of length <= ell_star,
+        # so the tail searches only the longer cycles
+        tail = local_search(
+            *(
+                replace(rule, name=f"{rule.name}[>{ell_star}]")
+                for rule in (expansion_rule(), all_for_q_rule(q))
+            )
+        )
+        return concatenate(greedy_solver(hi=ell_star), tail)(graph, stats)
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)

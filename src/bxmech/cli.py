@@ -260,13 +260,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap)
     if isinstance(mech, RandomizedMechanism):
         raise UsageError("fuzzing targets deterministic mechanisms")
-    solver = lambda g: mech.solve(g)  # noqa: E731
     findings = fuzz_truthfulness_nodes(
-        solver, graph, budget=args.budget, seed=args.seed
+        mech.solve, graph, budget=args.budget, seed=args.seed
     )
     if bundle.wishes is not None:
         findings += fuzz_truthfulness_wishlists(
-            solver, bundle.wishes, bundle.lam, budget=args.budget, seed=args.seed
+            mech.solve, bundle.wishes, bundle.lam, budget=args.budget, seed=args.seed
         )
     lines = []
     for f in findings:
@@ -295,7 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 else mech.claimed_bound(bundle.lam)
             )
             report = measure_ratio(
-                lambda g: mech.solve(g),
+                mech.solve,
                 graph,
                 bound,
                 instance=bundle.name,
@@ -334,7 +333,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def parse_fraction_or_none(text: str | None) -> Fraction | None:
     if text is None:
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in bound {text!r}") from None
 
 
 def cmd_profile_lambda(args: argparse.Namespace) -> int:

@@ -12,11 +12,13 @@ inner loops of the solvers add and compare plain ints; ``weight``,
 
 The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
-choice made by the search rules refers to this order.  Adjacency is stored
-as bitmasks over node indices, which keeps the inner loops of local search
-and the exact solvers cheap.  Removing nodes does not rebuild anything: the
-restricted graph shares the built graph's tables and carries a smaller mask
-of alive nodes.
+choice made by the search rules refers to this order.  Inside the library a
+set of nodes is an int mask, bit i meaning node i of the built graph:
+adjacency is stored that way, and the rules, the solvers and
+:meth:`CycleGraph.remove_nodes` take and return masks.  Frozensets of
+cycles appear only at the API, through ``mask_of``, ``nodes_of`` and
+``set_of``.  Removing nodes does not rebuild anything: the restricted graph
+shares the built graph's tables and carries a smaller mask of alive nodes.
 """
 
 from __future__ import annotations
@@ -162,12 +164,6 @@ class CycleGraph:
     def neighbors(self, node: TradingCycle) -> IndependentSet:
         return self.set_of(self._adj[self.rank(node)] & self._alive)
 
-    def neighborhood(self, nodes: Iterable[TradingCycle]) -> IndependentSet:
-        mask = 0
-        for v in nodes:
-            mask |= self._adj[self.rank(v)]
-        return self.set_of(mask & self._alive)
-
     def neighborhood_mask(self, mask: int) -> int:
         out = 0
         while mask:
@@ -177,13 +173,11 @@ class CycleGraph:
         return out & self._alive
 
     def is_independent(self, nodes: Iterable[TradingCycle]) -> bool:
-        mask = 0
-        for v in nodes:
-            r = self.rank(v)
-            if self._adj[r] & mask:
-                return False
-            mask |= 1 << r
-        return True
+        return self.is_independent_mask(self.mask_of(nodes))
+
+    def is_independent_mask(self, mask: int) -> bool:
+        """Whether ``mask`` holds alive nodes only, no two of them adjacent."""
+        return not (mask & ~self._alive or mask & self.neighborhood_mask(mask))
 
     def agents_of(self, nodes: Iterable[TradingCycle]) -> frozenset[int]:
         out: set[int] = set()
@@ -192,21 +186,21 @@ class CycleGraph:
             out.update(v.agents)
         return frozenset(out)
 
-    def agent_nodes(self, agent: int) -> IndependentSet:
-        return self.set_of(self._agent_mask.get(agent, 0) & self._alive)
+    def agent_mask(self, agent: int) -> int:
+        """Mask of the alive nodes the agent partakes in."""
+        return self._agent_mask.get(agent, 0) & self._alive
 
     def length_mask(self, length: int) -> int:
         """Mask of the alive nodes of the given length."""
         return self._length_mask.get(length, 0) & self._alive
 
-    def sorted_nodes(self, nodes: Iterable[TradingCycle]) -> list[TradingCycle]:
-        return sorted(nodes, key=self.rank)
-
-    def remove_nodes(self, dropped: Iterable[TradingCycle]) -> "CycleGraph":
-        """Induced subgraph on the remaining nodes: the same tables with the
-        dropped nodes cleared from the alive mask, so node order and ranks
-        are inherited."""
-        drop_mask = self.mask_of(dropped)
+    def remove_nodes(self, drop_mask: int) -> "CycleGraph":
+        """Induced subgraph without the nodes of ``drop_mask``: the same
+        tables with those bits cleared from the alive mask, so node order and
+        ranks are inherited.  Every bit must be an alive node."""
+        dead = drop_mask & ~self._alive
+        if dead:
+            raise KeyError(f"node {dead.bit_length() - 1} is not alive")
         if not drop_mask:
             return self
         return CycleGraph(

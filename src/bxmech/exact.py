@@ -14,7 +14,8 @@ completion.  Graphs with many agents but few nodes fall back to suffix
 weight sums.
 
 Both solvers run on the graph's scaled integer weights (node weight times
-``graph._scale``), which order sets exactly as the rational weights do.
+``graph._scale``), which order sets exactly as the rational weights do, and
+return the chosen set as a node mask of the graph (bit i is node i).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .core import TradingCycle
-from .cyclegraph import CycleGraph, IndependentSet, bits
+from .cyclegraph import CycleGraph, bits
 
 DP_AGENT_CAP = 16
 # default node cap of a branch-and-bound search (more than DP_AGENT_CAP agents)
@@ -82,8 +83,8 @@ def max_weight_independent_set(
     graph: CycleGraph,
     within: Iterable[TradingCycle] | None = None,
     node_cap: int | None = None,
-) -> IndependentSet:
-    """Lexicographically first maximum-weight independent set.
+) -> int:
+    """Mask of the lexicographically first maximum-weight independent set.
 
     ``within`` restricts the search to a node subset.  ``node_cap`` (if set)
     rejects instances whose agent count rules out the subset DP and whose
@@ -92,7 +93,7 @@ def max_weight_independent_set(
     mask = graph._alive if within is None else graph.mask_of(within)
     allowed = list(bits(mask))
     if not allowed:
-        return frozenset()
+        return 0
 
     use_dp = graph.n <= DP_AGENT_CAP
     if not use_dp and node_cap is not None and len(allowed) > node_cap:
@@ -142,15 +143,15 @@ def max_weight_independent_set(
         search(pos + 1, chosen, blocked | bit, cur, uncovered)
 
     search(0, 0, 0, 0, all_agents)
-    return graph.set_of(best_mask)
+    return best_mask
 
 
 def naive_max_weight_independent_set(
     graph: CycleGraph,
     within: Iterable[TradingCycle] | None = None,
     hard_cap: int = 20,
-) -> IndependentSet:
-    """Cross-validator: scan all 2^|V| node subsets.
+) -> int:
+    """Cross-validator: scan all 2^|V| node subsets; returns a node mask.
 
     Same tie-break as the branch-and-bound (first optimum by sorted rank
     tuples), so the two solvers must agree exactly.
@@ -163,7 +164,7 @@ def naive_max_weight_independent_set(
     adj = [graph._adj[idx] for idx in allowed]
     best_weight = 0
     best_key: tuple[int, ...] = ()
-    best: IndependentSet = frozenset()
+    best = 0
     independent = [True] * (1 << m)
     for mask in range(1, 1 << m):
         low = mask & -mask
@@ -188,5 +189,5 @@ def naive_max_weight_independent_set(
         if weight > best_weight or (weight == best_weight and key < best_key):
             best_weight = weight
             best_key = key
-            best = frozenset(graph._nodes[i] for i in members)
+            best = sum(1 << i for i in members)
     return best

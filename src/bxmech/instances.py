@@ -614,6 +614,8 @@ def bundle_from_json_dict(doc: Mapping) -> InstanceBundle:
         order = tuple(TradingCycle(tuple(c)) for c in rows)
     expected = doc.get("expected")
     params = doc.get("params")
+    if params is not None and not isinstance(params, Mapping):
+        raise ValueError("instance field 'params' must be an object or null")
     return InstanceBundle(
         name=str(doc.get("name", "unnamed")),
         n=n,

@@ -1,11 +1,12 @@
 """Improvement rules and the local-search driver.
 
 An improvement rule maps (graph, independent set) to a strictly heavier
-independent set or to None when no candidate exists.  A local-search
-algorithm is an ordered rule list: starting from the empty set, it always
-fires the lowest-index applicable rule and halts when every rule returns
-None.  Exact rational weights make the strict-increase argument (and hence
-termination) airtight.
+independent set or to None when no candidate exists; both sets are node
+masks of the graph (bit i is node i).  A local-search algorithm is an
+ordered rule list: starting from the empty set, it always fires the
+lowest-index applicable rule and halts when every rule returns None.  Exact
+weights (the graph's scaled integers) make the strict-increase argument (and
+hence termination) airtight.
 
 Two rule families are provided:
 
@@ -25,10 +26,9 @@ and their concatenation, live in :mod:`bxmech.mechanisms`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclegraph import CycleGraph, IndependentSet
+from .cyclegraph import CycleGraph, bits
 
 
 class RuleContractError(RuntimeError):
@@ -39,20 +39,17 @@ class RuleContractError(RuntimeError):
 class ImprovementRule:
     name: str
     loyal: bool
-    _apply_fn: Callable[[CycleGraph, IndependentSet], IndependentSet | None]
+    _apply_fn: Callable[[CycleGraph, int], int | None]
 
-    def apply(self, graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
+    def apply(self, graph: CycleGraph, current: int) -> int | None:
         return self._apply_fn(graph, current)
 
 
-def _expansion_apply(graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
-    cur_mask = graph.mask_of(current)
-    blocked = cur_mask | graph.neighborhood_mask(cur_mask)
-    candidates = graph._alive & ~blocked
+def _expansion_apply(graph: CycleGraph, current: int) -> int | None:
+    candidates = graph._alive & ~(current | graph.neighborhood_mask(current))
     if not candidates:
         return None
-    low = candidates & -candidates
-    return current | {graph._nodes[low.bit_length() - 1]}
+    return current | (candidates & -candidates)
 
 
 def expansion_rule() -> ImprovementRule:
@@ -73,11 +70,10 @@ def _agent_bits(graph: CycleGraph, mask: int) -> int:
 
 def _all_for_q_apply_factory(
     q: int, require_loyalty: bool
-) -> Callable[[CycleGraph, IndependentSet], IndependentSet | None]:
-    def apply_fn(graph: CycleGraph, current: IndependentSet) -> IndependentSet | None:
-        if not current:
+) -> Callable[[CycleGraph, int], int | None]:
+    def apply_fn(graph: CycleGraph, cur_mask: int) -> int | None:
+        if not cur_mask:
             return None
-        cur_mask = graph.mask_of(current)
         pool = graph.neighborhood_mask(cur_mask) & ~cur_mask
         adj = graph._adj
         weights = graph._weights
@@ -144,9 +140,9 @@ def _all_for_q_apply_factory(
         if found is None:
             return None
         x_mask, evict_mask = found
-        best = (current - graph.set_of(evict_mask)) | graph.set_of(x_mask)
+        best = (cur_mask & ~evict_mask) | x_mask
         # sanity: the bookkeeping above can only produce heavier sets
-        assert graph.weight(best) > graph.weight_of_mask(cur_mask)
+        assert graph.weight_of_mask(best) > graph.weight_of_mask(cur_mask)
         return best
 
     return apply_fn
@@ -194,13 +190,13 @@ class SearchStats:
 class TraceStep:
     rule_index: int
     rule_name: str
-    result: IndependentSet
+    result: int  # node mask
 
 
 @dataclass(frozen=True)
 class LocalSearchTrace:
     steps: tuple[TraceStep, ...]
-    final: IndependentSet
+    final: int  # node mask
 
     @property
     def iterations(self) -> int:
@@ -220,9 +216,8 @@ def run_local_search(
     """
     if not rules:
         raise ValueError("need at least one improvement rule")
-    current: IndependentSet = frozenset()
-    current_weight = Fraction(0)
-    current_agents: frozenset[int] = frozenset()
+    weights = graph._weights
+    current = current_weight = current_agents = 0
     steps: list[TraceStep] = []
     while True:
         fired = False
@@ -230,22 +225,21 @@ def run_local_search(
             result = rule.apply(graph, current)
             if result is None:
                 continue
-            if not graph.is_independent(result):
+            if not graph.is_independent_mask(result):
                 raise RuleContractError(
                     f"rule {rule.name} returned a dependent set"
                 )
-            new_weight = graph.weight(result)
+            new_weight = sum(weights[i] for i in bits(result))
             if new_weight <= current_weight:
                 raise RuleContractError(
                     f"rule {rule.name} returned a non-improving set"
                 )
-            new_agents = graph.agents_of(result)
-            if rule.loyal and not current_agents <= new_agents:
+            new_agents = _agent_bits(graph, result)
+            if rule.loyal and current_agents & ~new_agents:
                 raise RuleContractError(
                     f"rule {rule.name} is flagged loyal but dropped an agent"
                 )
-            current = frozenset(result)
-            current_weight, current_agents = new_weight, new_agents
+            current, current_weight, current_agents = result, new_weight, new_agents
             steps.append(TraceStep(idx, rule.name, current))
             if stats is not None:
                 stats.record(rule.name)

@@ -1,11 +1,13 @@
 """The mechanism catalog and the length-function profile quantities.
 
 A solver maps a cycle graph (and an optional :class:`SearchStats`) to an
-independent set.  The building blocks are the greedy sweep, a local search
-over a rule list and the per-class exact solve; :func:`concatenate` chains
-two solvers, the second running on what the first output and its neighbors
-leave.  A :class:`Mechanism` packages a solver with its claimed
-approximation bound and the class of length functions it is truthful for:
+independent set, given as a node mask of the graph (bit i is node i).  The
+building blocks are the greedy sweep, a local search over a rule list and
+the per-class exact solve; :func:`concatenate` chains two solvers, the
+second running on what the first output and its neighbors leave.  A
+:class:`Mechanism` packages a solver with its claimed approximation bound
+and the class of length functions it is truthful for, and hands its result
+out as a frozenset of cycles:
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -131,19 +133,19 @@ def lambda_profile(lam: LengthFunction) -> LambdaProfile:
 
 
 # ---------------------------------------------------------------------------
-# solver building blocks: (graph, stats=None) -> independent set
+# solver building blocks: (graph, stats=None) -> node mask of an independent set
 
-Solver = Callable[..., IndependentSet]
+Solver = Callable[..., int]
 
 
 def concatenate(head: Solver, tail: Solver) -> Solver:
     """Run ``head``, delete its output and that output's neighbors, run
     ``tail`` on the remainder, and return the union."""
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         first = head(graph, stats)
-        closed = first | graph.neighborhood(first)
-        return first | tail(graph.remove_nodes(closed), stats)
+        rest = graph.remove_nodes(first | graph.neighborhood_mask(first))
+        return first | tail(rest, stats)
 
     return run
 
@@ -157,7 +159,7 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
     So every node of length lo..hi ends up picked or adjacent to a pick.
     """
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         adj = graph._adj
         blocked = 0
         picks = 0
@@ -170,7 +172,7 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
                 cand &= ~blocked
                 if stats is not None:
                     stats.record(f"expand[len={j}]")
-        return graph.set_of(picks)
+        return picks
 
     return run
 
@@ -178,7 +180,7 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
 def local_search(*rules: ImprovementRule) -> Solver:
     """The local search over ``rules`` from the empty set."""
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         return run_local_search(graph, rules, stats).final
 
     return run
@@ -187,12 +189,13 @@ def local_search(*rules: ImprovementRule) -> Solver:
 def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
     """One exact solve restricted to the value class of length ``ell``."""
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         target = graph.lam(ell)
         mask = 0
         for length in range(2, graph.k + 1):
             if graph.lam(length) == target:
                 mask |= graph.length_mask(length)
+        # bxbench/tracer.py reads ``within`` as a collection of nodes
         return max_weight_independent_set(
             graph, within=graph.nodes_of(mask), node_cap=node_cap
         )
@@ -208,23 +211,28 @@ def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
 class Mechanism:
     """A named solver plus its advertised guarantee.
 
-    ``run`` is the raw solver; ``solve`` runs it and re-checks that the
-    output is an independent set.
+    ``solver`` returns a node mask.  ``run`` returns the solver's set of
+    cycles as it is; ``solve`` first re-checks that it is independent.
     """
 
     name: str
     params: Mapping[str, object]
     truthful_for: str  # "any" | "uniform" | "non-uniform" | "none"
-    run: Solver
+    solver: Solver
     _bound: Callable[[LengthFunction], Fraction | None] = lambda lam: None
+
+    def run(
+        self, graph: CycleGraph, stats: SearchStats | None = None
+    ) -> IndependentSet:
+        return graph.set_of(self.solver(graph, stats))
 
     def solve(
         self, graph: CycleGraph, stats: SearchStats | None = None
     ) -> IndependentSet:
-        result = self.run(graph, stats)
-        if not graph.is_independent(result):
+        result = self.solver(graph, stats)
+        if not graph.is_independent_mask(result):
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
-        return result
+        return graph.set_of(result)
 
     def claimed_bound(self, lam: LengthFunction) -> Fraction | None:
         return self._bound(lam)
@@ -235,7 +243,7 @@ def greedy_mechanism() -> Mechanism:
         name="greedy",
         params={},
         truthful_for="any",
-        run=greedy_solver(),
+        solver=greedy_solver(),
         _bound=lambda lam: Fraction(lam.k),
     )
 
@@ -243,7 +251,7 @@ def greedy_mechanism() -> Mechanism:
 def greedy_phase(j: int) -> Mechanism:
     """Greedy restricted to the cycles of length exactly j."""
     return Mechanism(
-        name=f"greedy^{j}", params={"l": j}, truthful_for="any", run=greedy_solver(j, j)
+        name=f"greedy^{j}", params={"l": j}, truthful_for="any", solver=greedy_solver(j, j)
     )
 
 
@@ -252,7 +260,7 @@ def ls_mechanism(q: int) -> Mechanism:
         name=f"ls:q={q}",
         params={"q": q},
         truthful_for="uniform",
-        run=local_search(expansion_rule(), all_for_q_rule(q)),
+        solver=local_search(expansion_rule(), all_for_q_rule(q)),
         _bound=lambda lam: Fraction(lam.k - 1) + Fraction(1, q),
     )
 
@@ -267,12 +275,12 @@ def broken_swap_algorithm(q: int) -> Mechanism:
         name=f"broken-swap[q={q}]",
         params={"q": q},
         truthful_for="none",
-        run=local_search(expansion_rule(), all_for_q_rule(q, require_loyalty=False)),
+        solver=local_search(expansion_rule(), all_for_q_rule(q, require_loyalty=False)),
     )
 
 
 def nu_mechanism(q: int) -> Mechanism:
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         ell_star = lambda_profile(graph.lam).ell_star
         if ell_star is None:
             raise ValueError(
@@ -298,7 +306,7 @@ def nu_mechanism(q: int) -> Mechanism:
         name=f"nu:q={q}",
         params={"q": q},
         truthful_for="non-uniform",
-        run=run,
+        solver=run,
         _bound=bound,
     )
 
@@ -308,12 +316,12 @@ def opt_mechanism(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
         name=f"opt:l={ell}",
         params={"l": ell},
         truthful_for="any",
-        run=opt_class(ell, node_cap),
+        solver=opt_class(ell, node_cap),
     )
 
 
 def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> IndependentSet:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         tumbles = lambda_profile(graph.lam).tumbles
         phases = [opt_class(ell, node_cap) for ell in tumbles]
         return reduce(concatenate, phases)(graph, stats)
@@ -326,7 +334,7 @@ def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
         name="io",
         params={},
         truthful_for="any",
-        run=run,
+        solver=run,
         _bound=bound,
     )
 

@@ -16,12 +16,11 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (
     LengthFunction,
-    TradingCycle,
     Utility,
     WishListVector,
     rational_str,
 )
-from .cyclegraph import CycleGraph, IndependentSet, build_from_wishes
+from .cyclegraph import CycleGraph, IndependentSet, bits, build_from_wishes
 from .exact import EXACT_NODE_CAP, max_weight_independent_set
 
 Solver = Callable[[CycleGraph], IndependentSet]
@@ -38,7 +37,7 @@ def oracle_max_weight_is(
     matter how many nodes they have; otherwise the node count must stay
     under ``node_cap``, or :class:`ExactSearchCapExceeded` is raised.
     """
-    return max_weight_independent_set(graph, node_cap=node_cap)
+    return graph.set_of(max_weight_independent_set(graph, node_cap=node_cap))
 
 
 def graph_utility(graph: CycleGraph, chosen: IndependentSet, agent: int) -> Fraction:
@@ -133,29 +132,26 @@ def _derive_seed(seed: int, agent: int, salt: int) -> int:
 
 
 def _node_subsets(
-    nodes: Sequence[TradingCycle],
+    own: int,
     budget: int,
     rng: random.Random,
     exhaustive_limit: int = EXHAUSTIVE_NODE_LIMIT,
-) -> Iterable[tuple[TradingCycle, ...]]:
-    """Non-empty subsets of an agent's nodes: all of them when the strategy
-    space is small, otherwise a seeded sample of ``budget`` subsets."""
-    m = len(nodes)
-    if m == 0:
-        return
+) -> Iterable[int]:
+    """Non-empty submasks of an agent's node mask: all of them when the
+    strategy space is small, otherwise a seeded sample of ``budget``."""
+    node_bits = [1 << i for i in bits(own)]
+    m = len(node_bits)
     if m <= exhaustive_limit:
-        for mask in range(1, 1 << m):
-            yield tuple(nodes[i] for i in range(m) if mask & (1 << i))
-        return
-    seen: set[int] = set()
-    attempts = 0
-    while len(seen) < budget and attempts < budget * 4:
-        attempts += 1
-        mask = rng.randrange(1, 1 << m)
-        if mask in seen:
-            continue
-        seen.add(mask)
-        yield tuple(nodes[i] for i in range(m) if mask & (1 << i))
+        picks: Iterable[int] = range(1, 1 << m)
+    else:
+        sample: dict[int, None] = {}  # distinct draws, in draw order
+        attempts = 0
+        while len(sample) < budget and attempts < budget * 4:
+            attempts += 1
+            sample[rng.randrange(1, 1 << m)] = None
+        picks = sample
+    for pick in picks:
+        yield sum(node_bits[i] for i in bits(pick))
 
 
 def fuzz_truthfulness_nodes(
@@ -174,11 +170,11 @@ def fuzz_truthfulness_nodes(
     base = solver(graph)
     findings: list[ManipulationFinding] = []
     for agent in range(1, graph.n + 1):
-        own = graph.sorted_nodes(graph.agent_nodes(agent))
+        own = graph.agent_mask(agent)
         if not own:
             continue
         honest = graph_utility(graph, base, agent)
-        best_possible = max(graph.lam(v.length) for v in own)
+        best_possible = max(graph.lam(v.length) for v in graph.nodes_of(own))
         if honest >= best_possible:
             continue
         rng = random.Random(_derive_seed(seed, agent, 1))
@@ -190,22 +186,12 @@ def fuzz_truthfulness_nodes(
                     ManipulationFinding(
                         agent=agent,
                         kind="hide-nodes",
-                        strategy=subset,
+                        strategy=graph.nodes_of(subset),
                         honest_utility=honest,
                         manipulated_utility=manipulated,
                     )
                 )
     return findings
-
-
-def _concealed_nodes(
-    graph: CycleGraph, agent: int, reported: frozenset[int]
-) -> frozenset[TradingCycle]:
-    """Nodes killed by reporting ``reported`` instead of the full wish list:
-    exactly those cycles whose outgoing arc of the agent is concealed."""
-    return frozenset(
-        v for v in graph.agent_nodes(agent) if v.successor(agent) not in reported
-    )
 
 
 def fuzz_truthfulness_wishlists(
@@ -221,7 +207,8 @@ def fuzz_truthfulness_wishlists(
     Reporting a subset of a wish list removes exactly the cycles whose
     outgoing arc is concealed, so each reported subset is realized as a node
     deletion on the truthful conflict graph; distinct subsets with the same
-    surviving cycle set are deduplicated (arcs on no cycle cannot matter).
+    surviving cycle set are deduplicated by the mask of the concealed nodes
+    (arcs on no cycle cannot matter).
     """
     graph = build_from_wishes(true_wishes, lam)
     base = solver(graph)
@@ -230,10 +217,15 @@ def fuzz_truthfulness_wishlists(
         full = sorted(true_wishes.of(agent))
         if not full:
             continue
-        own = graph.agent_nodes(agent)
+        own = graph.agent_mask(agent)
         honest = graph_utility(graph, base, agent)
-        if own and honest >= max(graph.lam(v.length) for v in own):
+        if own and honest >= max(graph.lam(v.length) for v in graph.nodes_of(own)):
             continue
+        # each own node with the agent's successor on it: a reported subset
+        # kills exactly the nodes whose outgoing arc it conceals
+        arcs = [
+            (1 << i, v.successor(agent)) for i, v in zip(bits(own), graph.nodes_of(own))
+        ]
         rng = random.Random(_derive_seed(seed, agent, 2))
         m = len(full)
         if m <= exhaustive_limit:
@@ -242,10 +234,10 @@ def fuzz_truthfulness_wishlists(
             masks = sorted(
                 {rng.randrange(0, (1 << m) - 1) for _ in range(budget)}
             )
-        tried: dict[frozenset[TradingCycle], Utility] = {}
+        tried: dict[int, Utility] = {}
         for mask in masks:
             reported = frozenset(full[i] for i in range(m) if mask & (1 << i))
-            removed = _concealed_nodes(graph, agent, reported)
+            removed = sum(bit for bit, nxt in arcs if nxt not in reported)
             if removed in tried:
                 manipulated = tried[removed]
             else:
@@ -279,7 +271,7 @@ def test_inpa(
     for agent in range(1, graph.n + 1):
         if agent in served:
             continue
-        own = graph.sorted_nodes(graph.agent_nodes(agent))
+        own = graph.agent_mask(agent)
         if not own:
             continue
         rng = random.Random(_derive_seed(seed, agent, 3))

@@ -154,8 +154,12 @@ class TestSolve:
             (lambda doc: {**doc, "n": None}, "'n' must be an integer"),
             (lambda doc: {**doc, "wishes": [1] * 6}, "list of integer lists"),
             (lambda doc: {**doc, "lambda": ["1", "1/0"]}, "zero denominator"),
+            (lambda doc: {**doc, "params": ["q"]}, "'params' must be an object or null"),
         ],
-        ids=["no-n", "short-wishes", "top-level-list", "null-n", "flat-wishes", "zero-den"],
+        ids=[
+            "no-n", "short-wishes", "top-level-list", "null-n", "flat-wishes", "zero-den",
+            "list-params",
+        ],
     )
     def test_malformed_instance_exits_one(self, tmp_path, capsys, damage, message):
         # a damaged file is an input error, reported without a traceback
@@ -205,6 +209,14 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "gbad:q=1..2", "ls:q=*", "--bound", "1.0")
         assert code == 2
         assert ",false," in out
+
+    def test_bound_with_zero_denominator_exits_one(self, capsys):
+        code, out, err = run(capsys, "sweep", "rand:n=5", "greedy", "--bound", "1/0")
+        assert code == 1 and out == ""
+        assert err == "error: zero denominator in bound '1/0'\n"
+        for bound in ("5/2", "2.5"):
+            code, out, _ = run(capsys, "sweep", "gbad:q=1", "ls:q=*", "--bound", bound)
+            assert code == 0 and out.splitlines()[1].split(",")[5] == "5/2"
 
     def test_oracle_over_cap_exits_one(self, capsys):
         code, out, err = run(

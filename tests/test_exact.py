@@ -71,8 +71,8 @@ def test_subset_dp_route_matches_suffix_route(seed):
         return
     shifted = shifted_copy(graph, 20)
     assert shifted.n > 16
-    direct = max_weight_independent_set(graph)
-    relabeled = max_weight_independent_set(shifted)
+    direct = graph.set_of(max_weight_independent_set(graph))
+    relabeled = shifted.set_of(max_weight_independent_set(shifted))
     expect = {
         TradingCycle(tuple(a + 20 for a in v.agents)) for v in direct
     }
@@ -84,7 +84,7 @@ def test_restriction_to_node_subset():
     graph = gen_random(6, 3, 0.6, 5, lam=lam).graph()
     short = [v for v in graph.nodes if v.length == 2]
     best = max_weight_independent_set(graph, within=short)
-    assert best <= frozenset(short)
+    assert graph.set_of(best) <= frozenset(short)
     assert best == naive_max_weight_independent_set(graph, within=short)
 
 
@@ -105,5 +105,5 @@ def test_lexicographic_tie_break_is_first_by_rank():
     c, d = TradingCycle((2, 3)), TradingCycle((4, 5))
     graph = build_graph([a, b, c, d], 5, LengthFunction.uniform(3))
     best = max_weight_independent_set(graph)
-    assert best == frozenset({a, d})
+    assert graph.set_of(best) == frozenset({a, d})
     assert naive_max_weight_independent_set(graph) == best

@@ -188,7 +188,7 @@ class TestLadder:
         bundle = gen_ladder(3, 1)
         g = bundle.graph()
         pin = g.nodes[0]
-        reduced = g.remove_nodes([pin])
+        reduced = g.remove_nodes(g.mask_of([pin]))
         best = oracle_max_weight_is(reduced)
         # teeth + left anchor + the B-blocks
         teeth = set(g.nodes[1:3])

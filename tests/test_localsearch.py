@@ -30,54 +30,54 @@ class TestExpansion:
     def test_adds_single_node(self):
         g = graph_of([(1, 2)], 2)
         rule = expansion_rule()
-        assert rule.apply(g, frozenset()) == frozenset({TradingCycle((1, 2))})
+        assert rule.apply(g, 0) == g.mask_of({TradingCycle((1, 2))})
 
     def test_maximal_returns_none(self):
         g = graph_of([(1, 2), (2, 3)], 3)
         rule = expansion_rule()
-        current = frozenset({TradingCycle((1, 2))})
+        current = g.mask_of({TradingCycle((1, 2))})
         assert rule.apply(g, current) is None
 
     def test_picks_first_in_node_order(self):
         g = graph_of([(1, 2), (3, 4), (5, 6)], 6)
         rule = expansion_rule()
-        out = rule.apply(g, frozenset())
-        assert out == frozenset({TradingCycle((1, 2))})
+        out = rule.apply(g, 0)
+        assert out == g.mask_of({TradingCycle((1, 2))})
 
 
 class TestAllForQ:
     def test_empty_set_has_no_candidates(self):
         g = graph_of([(1, 2)], 2)
-        assert all_for_q_rule(1).apply(g, frozenset()) is None
+        assert all_for_q_rule(1).apply(g, 0) is None
 
     def test_one_for_two_swap(self):
         # one 3-cycle blocks two 2-cycles that together cover more agents
         v = TradingCycle((1, 2, 3))
         a, b, c = TradingCycle((1, 4)), TradingCycle((2, 5)), TradingCycle((3, 6))
         g = build_graph([v, a, b, c], 6, UNIFORM3)
-        out = all_for_q_rule(1).apply(g, frozenset({v}))
-        assert out == frozenset({a, b, c})
+        out = all_for_q_rule(1).apply(g, g.mask_of({v}))
+        assert out == g.mask_of({a, b, c})
 
     def test_loyalty_blocks_agent_dropping_swap(self):
         # two 2-cycles outweigh the 3-cycle but strand agent 3
         v = TradingCycle((1, 2, 3))
         a, b = TradingCycle((1, 4)), TradingCycle((2, 5))
         g = build_graph([v, a, b], 5, UNIFORM3)
-        assert all_for_q_rule(1).apply(g, frozenset({v})) is None
+        assert all_for_q_rule(1).apply(g, g.mask_of({v})) is None
         broken = all_for_q_rule(1, require_loyalty=False)
-        assert broken.apply(g, frozenset({v})) == frozenset({a, b})
+        assert broken.apply(g, g.mask_of({v})) == g.mask_of({a, b})
 
     def test_weight_must_strictly_increase(self):
         v = TradingCycle((1, 2))
         u = TradingCycle((2, 3))
         g = build_graph([v, u], 3, UNIFORM3)
         # swapping one 2-cycle for the other gains nothing
-        assert all_for_q_rule(2).apply(g, frozenset({v})) is None
+        assert all_for_q_rule(2).apply(g, g.mask_of({v})) is None
 
     def test_gbad_stalls_both_rules(self):
         for q in (1, 2, 3):
             g = gen_gbad(q).graph()
-            blue = gbad_blue_set(q)
+            blue = g.mask_of(gbad_blue_set(q))
             assert expansion_rule().apply(g, blue) is None
             assert all_for_q_rule(q).apply(g, blue) is None
 
@@ -86,12 +86,16 @@ class TestAllForQ:
             all_for_q_rule(0)
 
 
+def neighborhood(graph, nodes):
+    return frozenset(u for v in nodes for u in graph.neighbors(v))
+
+
 def reference_all_for_q(graph, current, q, require_loyalty=True):
     """Brute-force mirror of the all-for-q rule: scan every neighbor subset
     and pick the canonical-first valid candidate."""
     if not current:
         return None
-    pool = graph.sorted_nodes(graph.neighborhood(current) - current)
+    pool = sorted(neighborhood(graph, current) - current, key=graph.rank)
     cur_agents = graph.agents_of(current)
     cur_weight = graph.weight(current)
     best_key, best = None, None
@@ -99,7 +103,7 @@ def reference_all_for_q(graph, current, q, require_loyalty=True):
         for combo in itertools.combinations(pool, size):
             if not graph.is_independent(combo):
                 continue
-            evicted = frozenset(graph.neighborhood(combo) & current)
+            evicted = frozenset(neighborhood(graph, combo) & current)
             if len(evicted) > q:
                 continue
             candidate = (current - evicted) | frozenset(combo)
@@ -112,8 +116,8 @@ def reference_all_for_q(graph, current, q, require_loyalty=True):
                 if not (cur_agents < cand_agents):
                     continue
             key = (
-                tuple(graph.rank(v) for v in graph.sorted_nodes(combo)),
-                tuple(graph.rank(v) for v in graph.sorted_nodes(evicted)),
+                tuple(sorted(graph.rank(v) for v in combo)),
+                tuple(sorted(graph.rank(v) for v in evicted)),
             )
             if best_key is None or key < best_key:
                 best_key, best = key, candidate
@@ -145,28 +149,30 @@ def test_all_for_q_matches_brute_force_reference(shape, seed, q, loyal, data):
     g = build_graph(g.nodes, n, lam, node_order=data.draw(st.permutations(g.nodes)))
     # start from the greedy basin or from a random independent set
     if data.draw(st.booleans()):
-        start = run_local_search(g, [expansion_rule()]).final
+        start = g.set_of(run_local_search(g, [expansion_rule()]).final)
     else:
         start = frozenset()
         for v in data.draw(st.lists(st.sampled_from(g.nodes), max_size=6)):
             if g.is_independent(start | {v}):
                 start |= {v}
     rule = all_for_q_rule(q, require_loyalty=loyal)
-    assert rule.apply(g, start) == reference_all_for_q(g, start, q, loyal)
+    out = rule.apply(g, g.mask_of(start))
+    out = None if out is None else g.set_of(out)
+    assert out == reference_all_for_q(g, start, q, loyal)
 
 
 class TestDriver:
     def test_empty_graph(self):
         g = graph_of([], 2)
         trace = run_local_search(g, [expansion_rule()])
-        assert trace.final == frozenset()
+        assert trace.final == 0
         assert trace.iterations == 0
 
     def test_single_node_single_iteration(self):
         g = graph_of([(1, 2)], 2)
         trace = run_local_search(g, [expansion_rule()])
         assert trace.iterations == 1
-        assert trace.final == frozenset({TradingCycle((1, 2))})
+        assert g.set_of(trace.final) == frozenset({TradingCycle((1, 2))})
 
     def test_rules_fire_in_priority_order(self):
         v = TradingCycle((1, 2, 3))
@@ -176,7 +182,7 @@ class TestDriver:
         names = [s.rule_name for s in trace.steps]
         assert names[0] == "expand"  # grabs v first under the injected order
         assert "all-for-1" in names
-        assert trace.final == frozenset({a, b, c})
+        assert g.set_of(trace.final) == frozenset({a, b, c})
 
     def test_requires_rules(self):
         with pytest.raises(ValueError):
@@ -187,14 +193,14 @@ class TestDriver:
         dependent = ImprovementRule(
             name="bad-dependent",
             loyal=False,
-            _apply_fn=lambda graph, cur: frozenset(graph.nodes),
+            _apply_fn=lambda graph, cur: graph.mask_of(graph.nodes),
         )
         with pytest.raises(RuleContractError):
             run_local_search(g, [dependent])
         lighter = ImprovementRule(
             name="bad-lighter",
             loyal=False,
-            _apply_fn=lambda graph, cur: frozenset({graph.nodes[0]}),
+            _apply_fn=lambda graph, cur: graph.mask_of([graph.nodes[0]]),
         )
         trace_rule_fires_then_stalls = ImprovementRule(
             name="stall",
@@ -213,12 +219,12 @@ class TestDriver:
         disloyal = ImprovementRule(
             name="bad-loyal",
             loyal=True,
-            _apply_fn=lambda graph, cur: frozenset({triple}) if cur else None,
+            _apply_fn=lambda graph, cur: graph.mask_of({triple}) if cur else None,
         )
         seed = ImprovementRule(
             name="seed",
             loyal=False,
-            _apply_fn=lambda graph, cur: None if cur else frozenset({pair}),
+            _apply_fn=lambda graph, cur: None if cur else graph.mask_of({pair}),
         )
         with pytest.raises(RuleContractError, match="dropped an agent"):
             run_local_search(g, [disloyal, seed])
@@ -232,10 +238,10 @@ def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
     last = Fraction(0)
     served = frozenset()
     for step in trace.steps:
-        w = g.weight(step.result)
+        w = g.weight_of_mask(step.result)
         assert w > last
         last = w
-        now = g.agents_of(step.result)
+        now = g.agents_of(g.nodes_of(step.result))
         assert served <= now
         served = now
 
@@ -243,28 +249,30 @@ def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
 def reference_greedy(graph, lo, hi, stats):
     """Expansion-only searches on the nodes of length lo, ..., hi in turn,
     each run on what the earlier ones' outputs and their neighbors leave."""
-    out = frozenset()
+    out = 0
     remaining = graph
     for j in range(lo, hi + 1):
         rule = dataclasses.replace(expansion_rule(), name=f"expand[len={j}]")
-        length_j = remaining.remove_nodes(v for v in remaining.nodes if v.length != j)
+        length_j = remaining.remove_nodes(
+            remaining.mask_of(v for v in remaining.nodes if v.length != j)
+        )
         picked = run_local_search(length_j, [rule], stats).final
         out |= picked
-        remaining = remaining.remove_nodes(picked | remaining.neighborhood(picked))
-    return out
+        remaining = remaining.remove_nodes(picked | remaining.neighborhood_mask(picked))
+    return graph.set_of(out)
 
 
 class TestConcatenate:
     def test_empty_remainder_keeps_first_output(self):
         g = graph_of([(1, 2), (2, 3)], 3)
-        first = greedy_phase(2).run
-        second = greedy_phase(2).run
+        first = greedy_phase(2).solver
+        second = greedy_phase(2).solver
         assert concatenate(first, second)(g) == first(g)
 
     def test_union_semantics(self):
         g = graph_of([(1, 2), (3, 4, 5)], 5)
-        combined = concatenate(greedy_phase(2).run, greedy_phase(3).run)
-        assert combined(g) == frozenset(g.nodes)
+        combined = concatenate(greedy_phase(2).solver, greedy_phase(3).solver)
+        assert g.set_of(combined(g)) == frozenset(g.nodes)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -169,7 +169,7 @@ class TestNu:
         g = build_graph(g.nodes, n, g.lam, node_order=order)
         threshold = data.draw(st.integers(min_value=2, max_value=k))
         picked = greedy_solver(hi=threshold)(g)
-        rest = g.remove_nodes(picked | g.neighborhood(picked))
+        rest = g.remove_nodes(picked | g.neighborhood_mask(picked))
         assert all(v.length > threshold for v in rest.nodes)
 
     @settings(max_examples=25, deadline=None)
@@ -365,7 +365,7 @@ def test_restricted_graph_matches_rebuilt_graph(case, seed, data):
     lam = LengthFunction.of(k, *values)
     graph = gen_random(7, k, p, seed, lam=lam).graph()
     order = data.draw(st.permutations(graph.nodes))
-    view = build_graph(graph.nodes, graph.n, lam, node_order=order)
+    view = full = build_graph(graph.nodes, graph.n, lam, node_order=order)
     dropped_so_far: list[TradingCycle] = []
     mechanisms = [
         parse_mechanism(spec)
@@ -375,7 +375,7 @@ def test_restricted_graph_matches_rebuilt_graph(case, seed, data):
         if not view.nodes:
             break
         dropped = data.draw(st.sets(st.sampled_from(view.nodes), max_size=6))
-        parent, view = view, view.remove_nodes(dropped)
+        parent, view = view, view.remove_nodes(view.mask_of(dropped))
         dropped_so_far.extend(dropped)
         rebuilt = build_graph(view.nodes, graph.n, lam, node_order=view.nodes)
         assert view.nodes == tuple(v for v in parent.nodes if v not in dropped)
@@ -384,18 +384,22 @@ def test_restricted_graph_matches_rebuilt_graph(case, seed, data):
             assert view.neighbors(v) == rebuilt.neighbors(v)
             assert view.node_weight(v) == rebuilt.node_weight(v)
         for agent in range(1, graph.n + 1):
-            assert view.agent_nodes(agent) == rebuilt.agent_nodes(agent)
+            assert view.nodes_of(view.agent_mask(agent)) == rebuilt.nodes_of(
+                rebuilt.agent_mask(agent)
+            )
         some = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
-        assert view.neighborhood(some) == rebuilt.neighborhood(some)
+        assert view.set_of(view.neighborhood_mask(view.mask_of(some))) == rebuilt.set_of(
+            rebuilt.neighborhood_mask(rebuilt.mask_of(some))
+        )
         assert view.weight(view.nodes) == rebuilt.weight(rebuilt.nodes)
         shuffled = data.draw(st.permutations(view.nodes))
-        assert view.sorted_nodes(shuffled) == list(view.nodes)
+        assert sorted(shuffled, key=view.rank) == list(view.nodes)
         for v in dropped_so_far:
             assert v not in view
             with pytest.raises(KeyError):
                 view.rank(v)
             with pytest.raises(KeyError):
-                view.remove_nodes([v])
+                view.remove_nodes(1 << full.rank(v))
         for m in mechanisms:
             assert m.solve(view) == m.solve(rebuilt), m.name
         assert oracle_max_weight_is(view) == oracle_max_weight_is(rebuilt)

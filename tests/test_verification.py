@@ -61,13 +61,13 @@ class TestOracle:
         g = bundle.graph()
         if g.num_nodes > 16:
             return
-        assert oracle_max_weight_is(g) == naive_max_weight_independent_set(g)
+        assert oracle_max_weight_is(g) == g.set_of(naive_max_weight_independent_set(g))
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_many_agent_route_agrees_with_naive(self, q):
         # 6q+9 agents forces the node-level search; cross-check it
         g = gen_gbad(q).graph()
-        assert oracle_max_weight_is(g) == naive_max_weight_independent_set(g)
+        assert oracle_max_weight_is(g) == g.set_of(naive_max_weight_independent_set(g))
 
     def test_cap_error(self):
         wishes = gen_random(18, 3, 0.7, 5).wishes

@@ -265,7 +265,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     if bundle.wishes is not None:
         findings += fuzz_truthfulness_wishlists(
-            mech.solve, bundle.wishes, bundle.lam, budget=args.budget, seed=args.seed
+            mech.solve,
+            bundle.wishes,
+            bundle.lam,
+            budget=args.budget,
+            seed=args.seed,
+            node_order=bundle.node_order,
         )
     lines = []
     for f in findings:

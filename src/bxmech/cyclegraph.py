@@ -23,7 +23,7 @@ shares the built graph's tables and carries a smaller mask of alive nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -91,6 +91,12 @@ class CycleGraph:
     tables with a smaller alive mask, and every query answers for the alive
     nodes only.
 
+    ``_solved`` memoises :func:`bxmech.exact.max_weight_independent_set` on
+    these tables: it maps an allowed node mask to the solver's answer mask.
+    :func:`build_graph` starts it empty and :meth:`remove_nodes` passes it
+    on, so every restriction of one build shares it and it lives exactly as
+    long as the build.  It takes no part in equality or repr.
+
     The rank of a node is its index in the built graph.  On a restricted
     graph the ranks may skip numbers, but they keep the order, so ranks
     still compare exactly as the graph's node order does, and ``nodes``
@@ -107,6 +113,7 @@ class CycleGraph:
     _weights: tuple[int, ...]
     _scale: int
     _alive: int
+    _solved: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -214,6 +221,7 @@ class CycleGraph:
             self._weights,
             self._scale,
             self._alive & ~drop_mask,
+            self._solved,
         )
 
     def exchange_from(self, independent: Iterable[TradingCycle]) -> Exchange:
@@ -285,6 +293,8 @@ def build_graph(
 
 
 def build_from_wishes(
-    wishes: WishListVector, lam: LengthFunction
+    wishes: WishListVector,
+    lam: LengthFunction,
+    node_order: Sequence[TradingCycle] | None = None,
 ) -> CycleGraph:
-    return build_graph(enumerate_cycles(wishes, lam.k), wishes.n, lam)
+    return build_graph(enumerate_cycles(wishes, lam.k), wishes.n, lam, node_order)

@@ -16,6 +16,15 @@ weight sums.
 Both solvers run on the graph's scaled integer weights (node weight times
 ``graph._scale``), which order sets exactly as the rational weights do, and
 return the chosen set as a node mask of the graph (bit i is node i).
+
+``max_weight_independent_set`` is memoised in the graph's ``_solved`` dict,
+which belongs to the built graph's tables and is shared by every
+restriction of it.  The key is the allowed node mask.  The memo is exact
+because the answer depends only on the shared tables (nodes, adjacency,
+scaled weights, agent count) and on that mask: it is the lexicographically
+first optimum in the built graph's node order, whichever route (DP bound or
+suffix bound) finds it.  The naive scan is the ground truth and is never
+memoised.
 """
 
 from __future__ import annotations
@@ -89,19 +98,23 @@ def max_weight_independent_set(
     ``within`` restricts the search to a node subset.  ``node_cap`` (if set)
     rejects instances whose agent count rules out the subset DP and whose
     node count exceeds the cap, instead of attempting a hopeless search.
+    The cap is checked before the memo is read, so a refusal is raised on
+    every call and is never stored.
     """
     mask = graph._alive if within is None else graph.mask_of(within)
-    allowed = list(bits(mask))
-    if not allowed:
+    if not mask:
         return 0
-
-    use_dp = graph.n <= DP_AGENT_CAP
-    if not use_dp and node_cap is not None and len(allowed) > node_cap:
+    if graph.n > DP_AGENT_CAP and node_cap is not None and mask.bit_count() > node_cap:
         raise ExactSearchCapExceeded(
-            f"{len(allowed)} nodes over {graph.n} agents exceeds the "
+            f"{mask.bit_count()} nodes over {graph.n} agents exceeds the "
             f"exhaustive-search cap of {node_cap} nodes"
         )
+    solved = graph._solved.get(mask)
+    if solved is not None:
+        return solved
 
+    allowed = list(bits(mask))
+    use_dp = graph.n <= DP_AGENT_CAP
     node_agents = _agent_masks(graph, allowed)
     dp_table = _packing_dp(graph, allowed, node_agents) if use_dp else None
 
@@ -143,6 +156,7 @@ def max_weight_independent_set(
         search(pos + 1, chosen, blocked | bit, cur, uncovered)
 
     search(0, 0, 0, 0, all_agents)
+    graph._solved[mask] = best_mask
     return best_mask
 
 

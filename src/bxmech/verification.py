@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (
     LengthFunction,
+    TradingCycle,
     Utility,
     WishListVector,
     rational_str,
@@ -201,6 +202,7 @@ def fuzz_truthfulness_wishlists(
     budget: int = 64,
     seed: int = 0,
     exhaustive_limit: int = 12,
+    node_order: Sequence[TradingCycle] | None = None,
 ) -> list[ManipulationFinding]:
     """Search for an agent who profits from under-reporting her wish list.
 
@@ -208,9 +210,11 @@ def fuzz_truthfulness_wishlists(
     outgoing arc is concealed, so each reported subset is realized as a node
     deletion on the truthful conflict graph; distinct subsets with the same
     surviving cycle set are deduplicated by the mask of the concealed nodes
-    (arcs on no cycle cannot matter).
+    (arcs on no cycle cannot matter).  ``node_order`` is the instance's node
+    order, if it injects one, so the mechanism is attacked under the
+    tie-breaks it is run with.
     """
-    graph = build_from_wishes(true_wishes, lam)
+    graph = build_from_wishes(true_wishes, lam, node_order)
     base = solver(graph)
     findings: list[ManipulationFinding] = []
     for agent in range(1, true_wishes.n + 1):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import bxmech.cli
 from bxmech.cli import build_generator_spec, expand_generator_family, main
-from bxmech.instances import gen_random, save_instance
+from bxmech.instances import gen_ladder, gen_random, save_instance
 
 
 def run(capsys, *argv):
@@ -78,6 +79,17 @@ class TestSolve:
     def test_oracle_cap_downgrades_with_warning(self, tmp_path, capsys):
         path = gen_file(tmp_path, "rand:n=18,p=0.6,seed=3")
         code, out, _ = run(capsys, "solve", str(path), "greedy", "--oracle-cap", "5")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["ratio_report"] is None
+        assert any("oracle" in w for w in doc["warnings"])
+
+    def test_oracle_over_default_cap_gives_null_report(self, tmp_path, capsys):
+        # 24 agents rule out the subset DP and the graph exceeds the oracle's
+        # default cap: the refusal reaches the report, not a cached answer
+        path = gen_file(tmp_path, "rand:n=24,k=3,p=0.5,seed=1")
+        capsys.readouterr()
+        code, out, _ = run(capsys, "solve", str(path), "greedy")
         doc = json.loads(out)
         assert code == 0
         assert doc["ratio_report"] is None
@@ -181,6 +193,19 @@ class TestFuzz:
         code, out, _ = run(capsys, "fuzz", str(path), "ls:q=2", "--budget", "16")
         assert code == 0
         assert out == ""
+
+    def test_wishlist_fuzz_gets_the_node_order(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = bxmech.cli.fuzz_truthfulness_wishlists
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("node_order"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bxmech.cli, "fuzz_truthfulness_wishlists", spy)
+        path = gen_file(tmp_path, "ladder:k=3,N=1")
+        run(capsys, "fuzz", str(path), "greedy", "--budget", "4")
+        assert seen == [gen_ladder(3, 1).node_order]
 
     def test_manipulable_configuration_exits_two(self, tmp_path, capsys):
         # the q-swap search is not truthful once the length function drops

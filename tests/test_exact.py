@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle
-from bxmech.cyclegraph import build_graph
+from bxmech.cyclegraph import bits, build_graph
 from bxmech.exact import (
     ExactSearchCapExceeded,
     max_weight_independent_set,
@@ -58,6 +58,80 @@ def test_solver_agrees_with_naive_scan(case, seed, data):
         assert max_weight_independent_set(g) == naive_max_weight_independent_set(g)
         best = max_weight_independent_set(g, within=w)
         assert best == naive_max_weight_independent_set(g, within=w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            (3, 0.5, ("1", "9/10")),
+            (3, 0.8, ("1", "1/2")),
+            (4, 0.3, ("1", "2/3", "3/7")),
+        ]
+    ),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+def test_memo_matches_fresh_solves_along_restrictions(case, seed, data):
+    # a chain of restrictions of one build shares its memo; every answer it
+    # gives (memoised or not) must equal a fresh build's with the same order
+    # and the naive scan, on the DP route and (shifted past 16 agents) the
+    # branch-and-bound route
+    k, p, values = case
+    lam = LengthFunction.of(k, *values)
+    graph = gen_random(6, k, p, seed, lam=lam).graph()
+    if graph.num_nodes > 16:
+        return
+    graph = build_graph(graph.nodes, 6, lam, node_order=data.draw(st.permutations(graph.nodes)))
+    shifted = shifted_copy(graph, 20)
+    assert graph.n <= 16 < shifted.n
+    steps = data.draw(st.integers(min_value=1, max_value=4))
+    for built in (graph, shifted):
+        assert built._solved == {}
+        view, answers = built, []
+        for _ in range(steps):
+            alive = list(bits(view._alive))
+            drop = data.draw(st.sets(st.sampled_from(alive))) if alive else set()
+            view = view.remove_nodes(sum(1 << i for i in drop))
+            assert view._solved is built._solved
+            value = data.draw(st.sampled_from(lam.values))
+            value_class = [v for v in view.nodes if lam(v.length) == value]
+            subset = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
+            within = data.draw(st.sampled_from([None, value_class, subset]))
+            best = max_weight_independent_set(view, within=within)
+            fresh = build_graph(view.nodes, view.n, lam, node_order=view.nodes)
+            expect = max_weight_independent_set(fresh, within=within)
+            assert view.set_of(best) == fresh.set_of(expect)
+            assert best == naive_max_weight_independent_set(view, within=within)
+            answers.append((view, within, best))
+        # asked again, every answer comes from the memo, one entry per mask
+        for view, within, best in answers:
+            assert max_weight_independent_set(view, within=within) == best
+        masks = {
+            view._alive if within is None else view.mask_of(within)
+            for view, within, _ in answers
+        }
+        assert built._solved.keys() == masks - {0}
+    rebuilt = build_graph(graph.nodes, 6, lam, node_order=graph.nodes)
+    assert rebuilt._solved == {} and rebuilt._solved is not graph._solved
+
+
+def test_cap_refusal_is_never_memoised():
+    lam = LengthFunction.uniform(3)
+    graph = gen_random(18, 3, 0.6, 1, lam=lam).graph()
+    assert graph.n > 16
+    within = graph.nodes[:10]
+    # a refusal raises again on repeat and leaves no memo entry
+    for _ in range(2):
+        with pytest.raises(ExactSearchCapExceeded):
+            max_weight_independent_set(graph, within=within, node_cap=9)
+    assert graph._solved == {}
+    # an answer stored without a cap does not let a smaller cap through
+    best = max_weight_independent_set(graph, within=within)
+    assert graph._solved == {graph.mask_of(within): best}
+    with pytest.raises(ExactSearchCapExceeded):
+        max_weight_independent_set(graph, within=within, node_cap=9)
+    assert max_weight_independent_set(graph, within=within, node_cap=10) == best
 
 
 @settings(max_examples=25, deadline=None)

@@ -164,6 +164,22 @@ class TestWishlistFuzz:
             == []
         )
 
+    def test_attacks_under_the_instance_node_order(self):
+        # the ladder injects a node order that differs from the default one;
+        # the rebuilt truthful graph must carry it, as bundle.graph() does
+        bundle = gen_ladder(3, 1)
+        assert build_from_wishes(bundle.wishes, bundle.lam).nodes != bundle.graph().nodes
+        seen = []
+
+        def solver(graph):
+            seen.append(graph.nodes)
+            return frozenset()
+
+        fuzz_truthfulness_wishlists(
+            solver, bundle.wishes, bundle.lam, node_order=bundle.node_order
+        )
+        assert seen[0] == bundle.graph().nodes
+
     def test_double_comb_replay_consistency(self):
         lam = FLAT3
         h, v = 2, 3

@@ -130,6 +130,8 @@ def expand_generator_family(spec: str) -> list[str]:
         if len(values) == 1 and ".." in values[0]:
             lo_text, hi_text = values[0].split("..", 1)
             choices = [[str(x)] for x in range(int(lo_text), int(hi_text) + 1)]
+            if not choices:
+                raise UsageError(f"empty range {key}={values[0]}")
         else:
             choices = [values]
         expansions = [
@@ -423,6 +425,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("budget", "oracle_cap"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                name = flag.replace("_", "-")
+                raise UsageError(f"--{name} must be non-negative, got {value}")
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "solve":

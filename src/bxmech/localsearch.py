@@ -16,7 +16,12 @@ Two rule families are provided:
   evicting at most q current members, provided no currently served agent is
   dropped and the weight strictly increases.  It searches on bitmasks of
   nodes and agents with the graph's scaled integer weights, and stops at the
-  first candidate that passes, which is the first in tie-break order.
+  first candidate that passes, which is the first in tie-break order.  Its
+  depth-first search skips two kinds of subtree that hold no passing X:
+  once X evicts q current nodes, only the pool nodes that evict inside that
+  set can extend it; and under the loyalty requirement, an X that evicts an
+  agent which no remaining candidate serves is not extended.  So the search
+  meets the passing X's in the same order as the full walk.
 
 Rules see the whole graph they are given; a search confined to some nodes
 runs on the graph with the others removed.  Solvers built from rule lists,
@@ -79,8 +84,10 @@ def _all_for_q_apply_factory(
         weights = graph._weights
         # per usable pool node r: (the current nodes r evicts, their agents,
         # r's agents); a node that evicts more than q current nodes can be
-        # in no candidate
+        # in no candidate.  by_evicts indexes the usable pool nodes by the
+        # exact set of current nodes they evict.
         info: dict[int, tuple[int, int, int]] = {}
+        by_evicts: dict[int, int] = {}
         m = pool
         while m:
             low = m & -m
@@ -91,34 +98,55 @@ def _all_for_q_apply_factory(
                 pool ^= low
                 continue
             info[r] = (evicts, _agent_bits(graph, evicts), _agent_bits(graph, low))
+            by_evicts[evicts] = by_evicts.get(evicts, 0) | low
         if not pool:
             return None
         max_size = q * graph.k
         cur_agents = _agent_bits(graph, cur_mask)
+        agent_mask = graph._agent_mask
+        # full eviction set E -> the pool nodes that evict only inside E
+        inside: dict[int, int] = {}
+
+        def inside_of(evict: int) -> int:
+            out = 0
+            sub = evict
+            while sub:
+                out |= by_evicts.get(sub, 0)
+                sub = (sub - 1) & evict
+            inside[evict] = out
+            return out
 
         def search(
             cand: int, x_mask: int, x_agents: int,
             evict: int, evict_agents: int, gain: int, size: int,
         ) -> tuple[int, int] | None:
             # gain = scaled weight of X minus that of its evicted set; the
-            # first passing X in DFS order is the answer (see all_for_q_rule)
+            # first passing X in DFS order is the answer, and the two cuts
+            # below drop only extensions that cannot pass (see all_for_q_rule).
+            # On a full budget, cut 1 has left only nodes that evict inside
+            # it, so neither the evicted set nor the gain's debit changes.
+            full = evict.bit_count() == q
             while cand:
                 low = cand & -cand
                 cand ^= low
                 r = low.bit_length() - 1
                 r_evicts, r_evict_agents, r_agents = info[r]
-                new_evict = evict | r_evicts
-                if new_evict.bit_count() > q:
-                    continue
                 new_gain = gain + weights[r]
-                fresh = r_evicts & ~evict
-                while fresh:
-                    f = fresh & -fresh
-                    new_gain -= weights[f.bit_length() - 1]
-                    fresh ^= f
+                if full:
+                    new_evict, new_evict_agents = evict, evict_agents
+                else:
+                    new_evict = evict | r_evicts
+                    evicted = new_evict.bit_count()
+                    if evicted > q:
+                        continue
+                    fresh = r_evicts & ~evict
+                    while fresh:
+                        f = fresh & -fresh
+                        new_gain -= weights[f.bit_length() - 1]
+                        fresh ^= f
+                    new_evict_agents = evict_agents | r_evict_agents
                 new_x = x_mask | low
                 new_agents = x_agents | r_agents
-                new_evict_agents = evict_agents | r_evict_agents
                 if new_gain > 0 and (
                     not require_loyalty
                     or (
@@ -127,9 +155,26 @@ def _all_for_q_apply_factory(
                     )
                 ):
                     return new_x, new_evict
-                if size + 1 < max_size:
+                if size + 1 == max_size:
+                    continue
+                rest = cand & ~adj[r]
+                if not full and evicted == q:
+                    # cut 1: X fills the budget, so only nodes evicting
+                    # inside it can extend X
+                    fit = inside.get(new_evict)
+                    rest &= inside_of(new_evict) if fit is None else fit
+                if require_loyalty:
+                    # cut 2: an evicted agent X misses must be served by
+                    # some node still to come
+                    missing = new_evict_agents & ~new_agents
+                    while missing and rest:
+                        a = missing & -missing
+                        if not agent_mask.get(a.bit_length() - 1, 0) & rest:
+                            rest = 0
+                        missing ^= a
+                if rest:
                     found = search(
-                        cand & ~adj[r], new_x, new_agents,
+                        rest, new_x, new_agents,
                         new_evict, new_evict_agents, new_gain, size + 1,
                     )
                     if found is not None:
@@ -137,6 +182,9 @@ def _all_for_q_apply_factory(
             return None
 
         found = search(pool, 0, 0, 0, 0, 0, 0)
+        # search refers to itself through its closure; breaking that cycle
+        # frees this call's tables now rather than at a full collection
+        del search
         if found is None:
             return None
         x_mask, evict_mask = found
@@ -163,6 +211,20 @@ def all_for_q_rule(q: int, require_loyalty: bool = True) -> ImprovementRule:
     increasing order of their sorted rank tuples, a prefix before its
     extensions.  So the first X that passes is the answer, and the search
     stops there.
+
+    The search leaves out two kinds of extension, neither of which can
+    contain a passing X, so it still meets the passing X's in that order
+    and returns the same answer as the full walk:
+
+    1. once X evicts q current nodes, the budget is full, and a node that
+       evicts any other current node would push X past it; so X is
+       extended only by the pool nodes whose evictions lie inside its
+       evicted set (the pool is indexed by exact eviction set, and the
+       union over the subsets of each full set is kept for the call);
+    2. with ``require_loyalty``, every agent of the evicted set must end up
+       in X; an agent that X does not hold yet and that no candidate left
+       for the extension holds can never be covered, so X is not extended.
+       The non-loyal rule may drop agents and gets only the first cut.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")

@@ -279,6 +279,21 @@ def broken_swap_algorithm(q: int) -> Mechanism:
     )
 
 
+@cache
+def _nu_solver(q: int, ell_star: int) -> Solver:
+    """nu's solver for one threshold, built once per (q, ell_star) and
+    shared: solvers hold no state between calls."""
+    # the greedy head picks or blocks every node of length <= ell_star, so
+    # the tail searches only the longer cycles
+    tail = local_search(
+        *(
+            replace(rule, name=f"{rule.name}[>{ell_star}]")
+            for rule in (expansion_rule(), all_for_q_rule(q))
+        )
+    )
+    return concatenate(greedy_solver(hi=ell_star), tail)
+
+
 def nu_mechanism(q: int) -> Mechanism:
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
         ell_star = lambda_profile(graph.lam).ell_star
@@ -286,15 +301,7 @@ def nu_mechanism(q: int) -> Mechanism:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        # the greedy head picks or blocks every node of length <= ell_star,
-        # so the tail searches only the longer cycles
-        tail = local_search(
-            *(
-                replace(rule, name=f"{rule.name}[>{ell_star}]")
-                for rule in (expansion_rule(), all_for_q_rule(q))
-            )
-        )
-        return concatenate(greedy_solver(hi=ell_star), tail)(graph, stats)
+        return _nu_solver(q, ell_star)(graph, stats)
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)

@@ -186,6 +186,17 @@ class TestSolve:
     def test_missing_file_exits_one(self, capsys):
         assert run(capsys, "solve", "/nonexistent.json", "greedy")[0] == 1
 
+    def test_negative_oracle_cap_exits_one(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1")
+        capsys.readouterr()
+        for argv in (
+            ("solve", str(path), "greedy", "--oracle-cap", "-3"),
+            ("--oracle-cap", "-3", "solve", str(path), "greedy"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == "error: --oracle-cap must be non-negative, got -3\n"
+
 
 class TestFuzz:
     def test_clean_mechanism_exits_zero(self, tmp_path, capsys):
@@ -206,6 +217,13 @@ class TestFuzz:
         path = gen_file(tmp_path, "ladder:k=3,N=1")
         run(capsys, "fuzz", str(path), "greedy", "--budget", "4")
         assert seen == [gen_ladder(3, 1).node_order]
+
+    def test_negative_budget_exits_one(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1")
+        capsys.readouterr()
+        code, out, err = run(capsys, "fuzz", str(path), "ls:q=1", "--budget", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --budget must be non-negative, got -1\n"
 
     def test_manipulable_configuration_exits_two(self, tmp_path, capsys):
         # the q-swap search is not truthful once the length function drops
@@ -250,6 +268,14 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "cap" in err
+
+    def test_reversed_range_exits_one(self, capsys):
+        for fmt in ("csv", "json"):
+            code, out, err = run(
+                capsys, "--format", fmt, "sweep", "rand:n=6,k=3,p=0.5,seed=5..2", "greedy"
+            )
+            assert code == 1 and out == ""
+            assert err == "error: empty range seed=5..2\n"
 
     def test_multiple_mechanisms(self, capsys):
         code, out, _ = run(capsys, "sweep", "gbad:q=1", "greedy+ls:q=1")

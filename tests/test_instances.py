@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle, parse_rational
 from bxmech.instances import (
@@ -27,7 +30,9 @@ from bxmech.instances import (
     load_instance,
     save_instance,
 )
-from bxmech.mechanisms import ls_mechanism
+from bxmech.exact import ExactSearchCapExceeded
+from bxmech.localsearch import SearchStats
+from bxmech.mechanisms import catalog, ls_mechanism
 from bxmech.verification import oracle_max_weight_is
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,6 +251,46 @@ class TestRandom:
             gen_random(4, 3, 1.5, 0)
 
 
+DECREASING = {
+    3: [STEEP3, FLAT3],
+    4: [LengthFunction.of(4, "1", "2/3", "3/7"), LengthFunction.of(4, "1", "5/6", "3/4")],
+}
+
+
+@st.composite
+def bundles(draw):
+    """A small instance from any generator family."""
+    family = draw(
+        st.sampled_from(["comb", "dcomb", "gbad", "fan", "ladder", "nonrealizable", "rand"])
+    )
+    k = draw(st.sampled_from([3, 4]))
+    lam = draw(st.sampled_from([LengthFunction.uniform(k), *DECREASING[k]]))
+    if family in ("comb", "dcomb"):
+        h, v = draw(st.sampled_from([(h, v) for v in range(3, k + 1) for h in range(2, v)]))
+        maker = gen_comb if family == "comb" else gen_double_comb
+        return maker(h, v, k, draw(st.sampled_from(DECREASING[k])))
+    if family == "gbad":
+        return gen_gbad(draw(st.integers(1, 2)))
+    if family == "fan":
+        return gen_fan(k, lam)
+    if family == "ladder":
+        return gen_ladder(k, draw(st.integers(1, 2)), lam)
+    if family == "nonrealizable":
+        return gen_nonrealizable()
+    n = draw(st.integers(2, 8))
+    p = draw(st.sampled_from([0.2, 0.35, 0.5]))
+    return gen_random(n, k, p, draw(st.integers(0, 10_000)), lam=lam)
+
+
+def outcome(mech, graph):
+    """A mechanism's output and firings on a graph, or the error it raises."""
+    stats = SearchStats()
+    try:
+        return mech.solve(graph, stats), stats
+    except (ValueError, ExactSearchCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "bundle",
@@ -265,6 +310,27 @@ class TestSerialization:
         loaded = load_instance(path)
         assert loaded == bundle
         assert bundle_to_text(loaded) == bundle_to_text(bundle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_round_trip_keeps_graph_and_catalog_outputs(self, tmp_path_factory, data):
+        bundle = data.draw(bundles())
+        if data.draw(st.booleans()):
+            # an injected node order must survive the file too
+            order = data.draw(st.permutations(bundle.graph().nodes))
+            bundle = dataclasses.replace(bundle, node_order=tuple(order))
+        path = tmp_path_factory.mktemp("bx") / "inst.json"
+        save_instance(bundle, path)
+        loaded = load_instance(path)
+        assert loaded == bundle
+        graph, again = bundle.graph(), loaded.graph()
+        assert again.nodes == graph.nodes
+        assert [again.node_weight(v) for v in again.nodes] == [
+            graph.node_weight(v) for v in graph.nodes
+        ]
+        assert again == graph
+        for mech in catalog():
+            assert outcome(mech, again) == outcome(mech, graph)
 
     def test_golden_bytes(self):
         for bundle, name in [

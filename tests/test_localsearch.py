@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,37 +91,52 @@ def neighborhood(graph, nodes):
     return frozenset(u for v in nodes for u in graph.neighbors(v))
 
 
+def independent_subsets(graph, pool, max_size):
+    """Every non-empty independent subset of ``pool`` with at most
+    ``max_size`` nodes, each as a tuple in pool order."""
+
+    def extend(chosen, blocked, start):
+        for i in range(start, len(pool)):
+            v = pool[i]
+            if v in blocked:
+                continue
+            combo = chosen + (v,)
+            yield combo
+            if len(combo) < max_size:
+                yield from extend(combo, blocked | graph.neighbors(v), i + 1)
+
+    return extend((), frozenset(), 0)
+
+
 def reference_all_for_q(graph, current, q, require_loyalty=True):
-    """Brute-force mirror of the all-for-q rule: scan every neighbor subset
-    and pick the canonical-first valid candidate."""
+    """Brute-force mirror of the all-for-q rule: scan every independent
+    neighbor subset of at most q*k nodes and pick the canonical-first valid
+    candidate."""
     if not current:
         return None
     pool = sorted(neighborhood(graph, current) - current, key=graph.rank)
     cur_agents = graph.agents_of(current)
     cur_weight = graph.weight(current)
     best_key, best = None, None
-    for size in range(1, min(len(pool), q * graph.k) + 1):
-        for combo in itertools.combinations(pool, size):
-            if not graph.is_independent(combo):
+    for combo in independent_subsets(graph, pool, q * graph.k):
+        evicted = frozenset(neighborhood(graph, combo) & current)
+        if len(evicted) > q:
+            continue
+        candidate = (current - evicted) | frozenset(combo)
+        if not graph.is_independent(candidate):
+            continue
+        if graph.weight(candidate) <= cur_weight:
+            continue
+        if require_loyalty:
+            cand_agents = graph.agents_of(candidate)
+            if not (cur_agents < cand_agents):
                 continue
-            evicted = frozenset(neighborhood(graph, combo) & current)
-            if len(evicted) > q:
-                continue
-            candidate = (current - evicted) | frozenset(combo)
-            if not graph.is_independent(candidate):
-                continue
-            if graph.weight(candidate) <= cur_weight:
-                continue
-            if require_loyalty:
-                cand_agents = graph.agents_of(candidate)
-                if not (cur_agents < cand_agents):
-                    continue
-            key = (
-                tuple(sorted(graph.rank(v) for v in combo)),
-                tuple(sorted(graph.rank(v) for v in evicted)),
-            )
-            if best_key is None or key < best_key:
-                best_key, best = key, candidate
+        key = (
+            tuple(sorted(graph.rank(v) for v in combo)),
+            tuple(sorted(graph.rank(v) for v in evicted)),
+        )
+        if best_key is None or key < best_key:
+            best_key, best = key, candidate
     return best
 
 
@@ -134,9 +150,11 @@ LAMBDAS = {
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([(6, 3, 0.5), (5, 4, 0.4), (6, 4, 0.3)]),
+    # the 8-agent shape has pools of 20-45 nodes, where budgets fill and
+    # evicted agents run out of cover, so both cuts of the search fire
+    st.sampled_from([(6, 3, 0.5), (5, 4, 0.4), (6, 4, 0.3), (8, 3, 0.5)]),
     st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
     st.booleans(),
     st.data(),
 )
@@ -147,6 +165,11 @@ def test_all_for_q_matches_brute_force_reference(shape, seed, q, loyal, data):
     if g.num_nodes == 0:
         return
     g = build_graph(g.nodes, n, lam, node_order=data.draw(st.permutations(g.nodes)))
+    # the rule also runs on restrictions (concatenation tails, hidden nodes)
+    hidden = data.draw(st.sets(st.integers(0, g.num_nodes - 1), max_size=g.num_nodes // 3))
+    g = g.remove_nodes(sum(1 << i for i in hidden))
+    if g.num_nodes == 0:
+        return
     # start from the greedy basin or from a random independent set
     if data.draw(st.booleans()):
         start = g.set_of(run_local_search(g, [expansion_rule()]).final)
@@ -159,6 +182,31 @@ def test_all_for_q_matches_brute_force_reference(shape, seed, q, loyal, data):
     out = rule.apply(g, g.mask_of(start))
     out = None if out is None else g.set_of(out)
     assert out == reference_all_for_q(g, start, q, loyal)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_all_for_q_matches_reference_where_both_cuts_fire(seed):
+    # 8 agents at p = 0.5 give pools of 20-45 nodes: on these fixed draws
+    # budgets fill (cut 1, both rules) and evicted agents lose every cover
+    # (cut 2, the loyal rule), so a wrong cut changes some answer
+    rng = random.Random(seed)
+    lam = LengthFunction.of(3, *rng.choice(LAMBDAS[3]))
+    g = gen_random(8, 3, 0.5, seed, lam=lam).graph()
+    order = list(g.nodes)
+    rng.shuffle(order)
+    g = build_graph(g.nodes, 8, lam, node_order=order)
+    g = g.remove_nodes(g.mask_of(rng.sample(g.nodes, g.num_nodes // 6)))
+    starts = [g.set_of(run_local_search(g, [expansion_rule()]).final)]
+    for _ in range(3):
+        start = frozenset()
+        for v in rng.sample(g.nodes, min(8, g.num_nodes)):
+            if g.is_independent(start | {v}):
+                start |= {v}
+        starts.append(start)
+    for start, q, loyal in itertools.product(starts, (1, 2, 3), (True, False)):
+        out = all_for_q_rule(q, require_loyalty=loyal).apply(g, g.mask_of(start))
+        out = None if out is None else g.set_of(out)
+        assert out == reference_all_for_q(g, start, q, loyal)
 
 
 class TestDriver:

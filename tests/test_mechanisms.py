@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,13 +17,16 @@ from bxmech.instances import (
     gen_gbad,
     gen_random,
 )
+from bxmech.localsearch import SearchStats, all_for_q_rule, expansion_rule
 from bxmech.mechanisms import (
     RandomizedMechanism,
     catalog,
+    concatenate,
     greedy_mechanism,
     greedy_solver,
     io_mechanism,
     lambda_profile,
+    local_search,
     ls_mechanism,
     nu_mechanism,
     opt_mechanism,
@@ -171,6 +176,28 @@ class TestNu:
         picked = greedy_solver(hi=threshold)(g)
         rest = g.remove_nodes(picked | g.neighborhood_mask(picked))
         assert all(v.length > threshold for v in rest.nodes)
+
+    def test_shared_solvers_follow_q_and_threshold(self):
+        # nu builds its solver once per (q, ell_star): alternating both on
+        # one mechanism per q gives each graph the outputs and firings of
+        # the greedy head concatenated with the renamed tail rules
+        lams = [LengthFunction.of(4, "1", "1/2", "1/2"), LengthFunction.of(4, "1", "9/10", "1/2")]
+        assert [lambda_profile(lam).ell_star for lam in lams] == [2, 3]
+        mechs = {q: nu_mechanism(q) for q in (1, 2)}
+        for seed in range(6):
+            for lam, q in itertools.product(lams, mechs):
+                g = gen_random(9, 4, 0.3, seed, lam=lam).graph()
+                ell_star = lambda_profile(lam).ell_star
+                tail = local_search(
+                    *(
+                        dataclasses.replace(rule, name=f"{rule.name}[>{ell_star}]")
+                        for rule in (expansion_rule(), all_for_q_rule(q))
+                    )
+                )
+                mine, expected = SearchStats(), SearchStats()
+                out = mechs[q].solve(g, mine)
+                assert out == g.set_of(concatenate(greedy_solver(hi=ell_star), tail)(g, expected))
+                assert mine == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([FLAT3, STEEP3]))

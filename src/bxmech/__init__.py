@@ -35,7 +35,6 @@ from .localsearch import (
 from .mechanisms import (
     LambdaProfile,
     Mechanism,
-    RandomizedMechanism,
     concatenate,
     greedy_mechanism,
     io_mechanism,
@@ -44,7 +43,7 @@ from .mechanisms import (
     nu_mechanism,
     opt_mechanism,
     parse_mechanism,
-    randomized_wrapper,
+    randomized_mechanism,
 )
 from .verification import (
     ManipulationFinding,

@@ -38,12 +38,7 @@ from .instances import (
     save_instance,
 )
 from .localsearch import SearchStats
-from .mechanisms import (
-    RandomizedMechanism,
-    lambda_profile,
-    parse_mechanism,
-    randomized_wrapper,
-)
+from .mechanisms import Mechanism, lambda_profile, parse_mechanism
 from .verification import (
     RatioReport,
     fuzz_truthfulness_nodes,
@@ -65,6 +60,8 @@ def _parse_keyvals(text: str) -> dict[str, list[str]]:
     for token in text.split(","):
         if "=" in token:
             key, value = token.split("=", 1)
+            if key in out:
+                raise UsageError(f"repeated parameter {key}")
             out[key] = [value]
             current = key
         elif current is not None:
@@ -147,7 +144,9 @@ def expand_generator_family(spec: str) -> list[str]:
     return out
 
 
-def _resolve_mechanism(spec: str, bundle: InstanceBundle, node_cap: int):
+def _resolve_mechanism(
+    spec: str, bundle: InstanceBundle, node_cap: int, seed: int
+) -> Mechanism:
     if "=*" in spec:
         params = bundle.params or {}
         if "q" not in params:
@@ -155,7 +154,7 @@ def _resolve_mechanism(spec: str, bundle: InstanceBundle, node_cap: int):
                 f"mechanism {spec!r} uses q=* but instance {bundle.name} has no q"
             )
         spec = spec.replace("=*", f"={params['q']}")
-    return parse_mechanism(spec, node_cap)
+    return parse_mechanism(spec, node_cap, seed)
 
 
 def _utilities_rows(graph, chosen) -> list[list[object]]:
@@ -209,29 +208,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     bundle = load_instance(args.instance)
     graph = bundle.graph()
-    mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap)
+    mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap, args.seed)
+    if "zeta" in mech.params and bundle.wishes is None:
+        raise UsageError("randomized wrapper needs a wish-list instance")
     warnings: list[str] = []
     stats = SearchStats()
-    if isinstance(mech, RandomizedMechanism):
-        if bundle.wishes is None:
-            raise UsageError("randomized wrapper needs a wish-list instance")
-        exchange = randomized_wrapper(mech.base, mech.zeta, graph, args.seed)
-        chosen = graph.independent_from(exchange)
-        mech_name = mech.name
-        bound = None
-    else:
-        chosen = mech.solve(graph, stats)
-        exchange = graph.exchange_from(chosen)
-        mech_name = mech.name
-        bound = mech.claimed_bound(bundle.lam)
+    chosen = mech.solve(graph, stats)
     welfare = graph.weight(chosen)
     try:
         ratio = measure_ratio(
-            lambda g: chosen,
+            chosen,
             graph,
-            bound,
+            mech.claimed_bound(bundle.lam),
             instance=bundle.name,
-            mechanism=mech_name,
+            mechanism=mech.name,
             node_cap=args.oracle_cap,
         )
         ratio_doc: dict | None = _ratio_json(ratio)
@@ -240,7 +230,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ratio_doc = None
     report = {
         "instance": bundle.name,
-        "mechanism": mech_name,
+        "mechanism": mech.name,
         "exchange": [list(c.agents) for c in sorted(chosen, key=cycle_sort_key)],
         "welfare": rational_str(welfare),
         "welfare_decimal": float(welfare),
@@ -259,8 +249,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     bundle = load_instance(args.instance)
     graph = bundle.graph()
-    mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap)
-    if isinstance(mech, RandomizedMechanism):
+    mech = _resolve_mechanism(args.mechanism, bundle, args.oracle_cap, args.seed)
+    if "zeta" in mech.params:
         raise UsageError("fuzzing targets deterministic mechanisms")
     findings = fuzz_truthfulness_nodes(
         mech.solve, graph, budget=args.budget, seed=args.seed
@@ -292,8 +282,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         bundle = build_generator_spec(gen_spec)
         graph = bundle.graph()
         for mech_spec in args.mechanisms.split("+"):
-            mech = _resolve_mechanism(mech_spec.strip(), bundle, args.oracle_cap)
-            if isinstance(mech, RandomizedMechanism):
+            mech = _resolve_mechanism(
+                mech_spec.strip(), bundle, args.oracle_cap, args.seed
+            )
+            if "zeta" in mech.params:
                 raise UsageError("sweep targets deterministic mechanisms")
             bound = (
                 override_bound
@@ -301,7 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 else mech.claimed_bound(bundle.lam)
             )
             report = measure_ratio(
-                mech.solve,
+                mech.solve(graph),
                 graph,
                 bound,
                 instance=bundle.name,

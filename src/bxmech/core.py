@@ -171,11 +171,6 @@ class WishListVector:
         lists[agent - 1] = frozenset(new_wish)
         return WishListVector(n=self.n, wish=tuple(lists))
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for i in range(1, self.n + 1):
-            for j in sorted(self.wish[i - 1]):
-                yield (i, j)
-
 
 @dataclass(frozen=True)
 class TradingCycle:

@@ -230,11 +230,6 @@ class CycleGraph:
             raise ValueError("node set is not independent")
         return Exchange(cycles=nodes)
 
-    def independent_from(self, exchange: Exchange) -> IndependentSet:
-        for cycle in exchange.cycles:
-            self.rank(cycle)
-        return frozenset(exchange.cycles)
-
 
 def build_graph(
     cycles: Sequence[TradingCycle],

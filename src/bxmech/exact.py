@@ -13,13 +13,15 @@ packings), and the DP value on the yet-uncovered agents bounds every
 completion.  Graphs with many agents but few nodes fall back to suffix
 weight sums.
 
-Both solvers run on the graph's scaled integer weights (node weight times
-``graph._scale``), which order sets exactly as the rational weights do, and
-return the chosen set as a node mask of the graph (bit i is node i).
+Both solvers search the graph's alive nodes: to restrict a search to some
+nodes, remove the others first (:meth:`CycleGraph.remove_nodes`).  They run
+on the graph's scaled integer weights (node weight times ``graph._scale``),
+which order sets exactly as the rational weights do, and return the chosen
+set as a node mask of the graph (bit i is node i).
 
 ``max_weight_independent_set`` is memoised in the graph's ``_solved`` dict,
 which belongs to the built graph's tables and is shared by every
-restriction of it.  The key is the allowed node mask.  The memo is exact
+restriction of it.  The key is the alive node mask.  The memo is exact
 because the answer depends only on the shared tables (nodes, adjacency,
 scaled weights, agent count) and on that mask: it is the lexicographically
 first optimum in the built graph's node order, whichever route (DP bound or
@@ -29,9 +31,8 @@ memoised.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import TradingCycle
 from .cyclegraph import CycleGraph, bits
 
 DP_AGENT_CAP = 16
@@ -88,20 +89,15 @@ def _packing_dp(
     return table
 
 
-def max_weight_independent_set(
-    graph: CycleGraph,
-    within: Iterable[TradingCycle] | None = None,
-    node_cap: int | None = None,
-) -> int:
+def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None) -> int:
     """Mask of the lexicographically first maximum-weight independent set.
 
-    ``within`` restricts the search to a node subset.  ``node_cap`` (if set)
-    rejects instances whose agent count rules out the subset DP and whose
-    node count exceeds the cap, instead of attempting a hopeless search.
-    The cap is checked before the memo is read, so a refusal is raised on
-    every call and is never stored.
+    ``node_cap`` (if set) rejects instances whose agent count rules out the
+    subset DP and whose node count exceeds the cap, instead of attempting a
+    hopeless search.  The cap is checked before the memo is read, so a
+    refusal is raised on every call and is never stored.
     """
-    mask = graph._alive if within is None else graph.mask_of(within)
+    mask = graph._alive
     if not mask:
         return 0
     if graph.n > DP_AGENT_CAP and node_cap is not None and mask.bit_count() > node_cap:
@@ -156,22 +152,20 @@ def max_weight_independent_set(
         search(pos + 1, chosen, blocked | bit, cur, uncovered)
 
     search(0, 0, 0, 0, all_agents)
+    # search refers to itself through its closure; breaking that cycle frees
+    # this call's tables now rather than at a full collection
+    del search
     graph._solved[mask] = best_mask
     return best_mask
 
 
-def naive_max_weight_independent_set(
-    graph: CycleGraph,
-    within: Iterable[TradingCycle] | None = None,
-    hard_cap: int = 20,
-) -> int:
+def naive_max_weight_independent_set(graph: CycleGraph, hard_cap: int = 20) -> int:
     """Cross-validator: scan all 2^|V| node subsets; returns a node mask.
 
     Same tie-break as the branch-and-bound (first optimum by sorted rank
     tuples), so the two solvers must agree exactly.
     """
-    mask = graph._alive if within is None else graph.mask_of(within)
-    allowed = list(bits(mask))
+    allowed = list(bits(graph._alive))
     m = len(allowed)
     if m > hard_cap:
         raise ExactSearchCapExceeded(f"{m} nodes exceeds the naive cap {hard_cap}")

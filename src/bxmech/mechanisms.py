@@ -21,9 +21,15 @@ out as a frozenset of cycles:
 * ``io``: per value-class exact solves, concatenated from short classes to
   long; truthful, exponential time, ratio rho for non-uniform functions.
 * ``opt:l``: one exact solve restricted to the value class of a length.
+* ``rand``: a seeded lottery over a base mechanism (see
+  :func:`randomized_mechanism`); its ratio holds in expectation, so it
+  claims no bound.
 
-The exact solves of ``io`` and ``opt`` take the same ``node_cap`` as the
-oracle (:data:`bxmech.exact.EXACT_NODE_CAP` by default).
+Every one of them, the lottery included, is a :class:`Mechanism`.  A
+restricted solve runs on the graph with the other nodes removed
+(:meth:`CycleGraph.remove_nodes`).  The exact solves of ``io`` and ``opt``
+take the same ``node_cap`` as the oracle
+(:data:`bxmech.exact.EXACT_NODE_CAP` by default).
 
 ``rho`` is the tight truthfulness threshold computed from the length
 function; see :func:`lambda_profile`.
@@ -38,17 +44,13 @@ from functools import cache, reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .core import (
-    Exchange,
-    LengthFunction,
-    cycle_sort_key,
-    parse_rational,
-)
+from .core import LengthFunction, cycle_sort_key, parse_rational
 # build_graph and enumerate_cycles are unused here, but bxbench/tracer.py
 # wraps them at every module that imports them, this one included
 from .cyclegraph import (  # noqa: F401
     CycleGraph,
     IndependentSet,
+    bits,
     build_graph,
     enumerate_cycles,
 )
@@ -195,9 +197,8 @@ def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
         for length in range(2, graph.k + 1):
             if graph.lam(length) == target:
                 mask |= graph.length_mask(length)
-        # bxbench/tracer.py reads ``within`` as a collection of nodes
         return max_weight_independent_set(
-            graph, within=graph.nodes_of(mask), node_cap=node_cap
+            graph.remove_nodes(graph._alive & ~mask), node_cap=node_cap
         )
 
     return run
@@ -347,59 +348,58 @@ def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
 
 
 # ---------------------------------------------------------------------------
-# randomized wrapper lifting the subset-reporting assumption
+# the lottery lifting the subset-reporting assumption
 
 
-@dataclass(frozen=True)
-class RandomizedMechanism:
-    base: Mechanism
-    zeta: Fraction
-
-    @property
-    def name(self) -> str:
-        return f"rand:zeta={self.zeta.numerator}/{self.zeta.denominator}:base={self.base.name}"
-
-
-def randomized_wrapper(
-    base: Mechanism,
-    zeta: Fraction,
-    graph: CycleGraph,
-    seed: int,
-) -> Exchange:
-    """With probability 1 - zeta run the base mechanism on ``graph``;
-    otherwise draw a length uniformly from [2, k] and a single uniformly
-    random node of that length, in (length, sequence) order (identity
-    exchange when the class is empty).
+def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanism:
+    """With probability 1 - zeta run the base solver on the graph; otherwise
+    draw a length uniformly from [2, k] and a single uniformly random node of
+    that length, in (length, sequence) order (the empty set when the class
+    is empty).
 
     The base runs on the graph it is given, so it keeps that graph's node
-    order and tie-breaks.  The draw is exact: a uniform integer below the
+    order and tie-breaks; it runs without ``stats``, so a lottery solve
+    records no firings.  The draw is exact: a uniform integer below the
     denominator of zeta, so the branch probability is the stated rational,
-    not a float approximation.  Deterministic for a fixed seed.
+    not a float approximation.  Every solve starts from ``seed``, so the
+    mechanism is deterministic.  Its ratio holds only in expectation, so it
+    claims no bound.
     """
     if not 0 < zeta < 1:
         raise ValueError(f"zeta must lie strictly between 0 and 1, got {zeta}")
-    rng = random.Random(seed)
-    if rng.randrange(zeta.denominator) < zeta.numerator:
-        length = rng.randrange(2, graph.k + 1)
-        pool = sorted(
-            (c for c in graph.nodes if c.length == length), key=cycle_sort_key
-        )
-        if not pool:
-            return Exchange.identity()
-        return Exchange(cycles=frozenset({pool[rng.randrange(len(pool))]}))
-    return graph.exchange_from(base.solve(graph))
+
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
+        rng = random.Random(seed)
+        if rng.randrange(zeta.denominator) < zeta.numerator:
+            length = rng.randrange(2, graph.k + 1)
+            nodes = graph._nodes
+            pool = sorted(
+                bits(graph.length_mask(length)), key=lambda i: cycle_sort_key(nodes[i])
+            )
+            return 1 << pool[rng.randrange(len(pool))] if pool else 0
+        return base.solver(graph)
+
+    return Mechanism(
+        name=f"rand:zeta={zeta.numerator}/{zeta.denominator}:base={base.name}",
+        params={"zeta": zeta, "base": base},
+        truthful_for=base.truthful_for,
+        solver=run,
+    )
 
 
 # ---------------------------------------------------------------------------
 # mechanism spec grammar
 
 
-def parse_mechanism(spec: str, node_cap: int | None = EXACT_NODE_CAP):
+def parse_mechanism(
+    spec: str, node_cap: int | None = EXACT_NODE_CAP, seed: int = 0
+) -> Mechanism:
     """Parse a mechanism spec string.
 
     Grammar: ``greedy`` | ``ls:q=<int>`` | ``nu:q=<int>`` | ``io`` |
     ``opt:l=<int>`` | ``rand:zeta=<p>/<q>:base=<mech>``.  ``node_cap`` is the
-    node cap of the exact solves of ``io`` and ``opt`` (also as a base).
+    node cap of the exact solves of ``io`` and ``opt`` (also as a base);
+    ``seed`` is the lottery's seed.
     """
     spec = spec.strip()
     if spec == "greedy":
@@ -421,9 +421,9 @@ def parse_mechanism(spec: str, node_cap: int | None = EXACT_NODE_CAP):
         if not sep or not remainder.startswith("base="):
             raise ValueError(f"bad randomized spec {spec!r}: expected :base=")
         base = parse_mechanism(remainder[5:], node_cap)
-        if isinstance(base, RandomizedMechanism):
+        if "zeta" in base.params:
             raise ValueError("randomized wrapper cannot wrap itself")
-        return RandomizedMechanism(base=base, zeta=parse_rational(zeta_text))
+        return randomized_mechanism(base, parse_rational(zeta_text), seed)
     raise ValueError(f"unknown mechanism spec {spec!r}")
 
 

@@ -91,14 +91,14 @@ class RatioReport:
 
 
 def measure_ratio(
-    solver: Solver,
+    chosen: IndependentSet,
     graph: CycleGraph,
     bound: Fraction | None,
     instance: str = "",
     mechanism: str = "",
     node_cap: int = EXACT_NODE_CAP,
 ) -> RatioReport:
-    chosen = solver(graph)
+    """Compare a mechanism's chosen set with the oracle's optimum."""
     mech_weight = graph.weight(chosen)
     oracle_weight = graph.weight(oracle_max_weight_is(graph, node_cap=node_cap))
     if oracle_weight < mech_weight:

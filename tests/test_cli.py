@@ -157,6 +157,13 @@ class TestSolve:
         assert wrapped["exchange"] == plain["exchange"]
         assert wrapped["welfare"] == plain["welfare"] == "8/1"
 
+    def test_randomized_mechanism_needs_wish_lists(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "nonrealizable")
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", str(path), "rand:zeta=1/2:base=greedy")
+        assert code == 1 and out == ""
+        assert err == "error: randomized wrapper needs a wish-list instance\n"
+
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -225,6 +232,13 @@ class TestFuzz:
         assert code == 1 and out == ""
         assert err == "error: --budget must be non-negative, got -1\n"
 
+    def test_randomized_mechanism_exits_one(self, tmp_path, capsys):
+        path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1")
+        capsys.readouterr()
+        code, out, err = run(capsys, "fuzz", str(path), "rand:zeta=1/2:base=greedy")
+        assert code == 1 and out == ""
+        assert err == "error: fuzzing targets deterministic mechanisms\n"
+
     def test_manipulable_configuration_exits_two(self, tmp_path, capsys):
         # the q-swap search is not truthful once the length function drops
         path = gen_file(tmp_path, "comb:h=2,v=3,k=3,lambda=1,9/10")
@@ -276,6 +290,20 @@ class TestSweep:
             )
             assert code == 1 and out == ""
             assert err == "error: empty range seed=5..2\n"
+
+    def test_randomized_mechanism_exits_one(self, capsys):
+        code, out, err = run(capsys, "sweep", "gbad:q=1", "greedy+rand:zeta=1/2:base=greedy")
+        assert code == 1 and out == ""
+        assert err == "error: sweep targets deterministic mechanisms\n"
+
+    def test_repeated_parameter_exits_one(self, capsys):
+        # a repeated key used to replace the earlier value silently, so this
+        # sweep dropped the range and printed one row for seed 3
+        code, out, err = run(capsys, "sweep", "rand:n=6,seed=1..2,seed=3", "greedy")
+        assert code == 1 and out == ""
+        assert err == "error: repeated parameter seed\n"
+        code, _, err = run(capsys, "gen", "comb:h=2,v=3,h=3,lambda=1,9/10")
+        assert code == 1 and err == "error: repeated parameter h\n"
 
     def test_multiple_mechanisms(self, capsys):
         code, out, _ = run(capsys, "sweep", "gbad:q=1", "greedy+ls:q=1")

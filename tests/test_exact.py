@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from bxmech.exact import (
     naive_max_weight_independent_set,
 )
 from bxmech.instances import gen_random
+from bxmech.localsearch import all_for_q_rule, expansion_rule, run_local_search
 
 
 def shifted_copy(graph, offset):
@@ -17,6 +20,11 @@ def shifted_copy(graph, offset):
     nodes = [TradingCycle(tuple(a + offset for a in v.agents)) for v in graph.nodes]
     lam = graph.lam
     return build_graph(nodes, graph.n + offset, lam, node_order=nodes)
+
+
+def restrict(graph, nodes):
+    """``graph`` with every node outside ``nodes`` removed."""
+    return graph.remove_nodes(graph._alive & ~graph.mask_of(nodes))
 
 
 @settings(max_examples=80, deadline=None)
@@ -37,9 +45,9 @@ def shifted_copy(graph, offset):
 def test_solver_agrees_with_naive_scan(case, seed, data):
     # mixed denominators scale the weights to ints, the drawn order moves the
     # tie-breaks, and the shifted copy (over 16 agents) takes the suffix bound;
-    # the whole graph is checked every time, and a drawn ``within`` (a value
-    # class or a random subset) makes the subset DP run over only the agents
-    # its nodes touch
+    # the whole graph is checked every time, and a drawn restriction (to a
+    # value class or a random subset) makes the subset DP run over only the
+    # agents its nodes touch
     k, p, values = case
     lam = LengthFunction.of(k, *values)
     graph = gen_random(6, k, p, seed, lam=lam).graph()
@@ -50,14 +58,14 @@ def test_solver_agrees_with_naive_scan(case, seed, data):
     value = data.draw(st.sampled_from(lam.values))
     value_class = [v for v in graph.nodes if lam(v.length) == value]
     subset = data.draw(st.sets(st.sampled_from(graph.nodes))) if graph.nodes else set()
-    within = data.draw(st.sampled_from([value_class, subset]))
+    keep = data.draw(st.sampled_from([value_class, subset]))
     shifted = shifted_copy(graph, 20)
     twin = dict(zip(graph.nodes, shifted.nodes))
-    shifted_within = [twin[v] for v in within]
-    for g, w in ((graph, within), (shifted, shifted_within)):
+    shifted_keep = [twin[v] for v in keep]
+    for g, w in ((graph, keep), (shifted, shifted_keep)):
         assert max_weight_independent_set(g) == naive_max_weight_independent_set(g)
-        best = max_weight_independent_set(g, within=w)
-        assert best == naive_max_weight_independent_set(g, within=w)
+        part = restrict(g, w)
+        assert max_weight_independent_set(part) == naive_max_weight_independent_set(part)
 
 
 @settings(max_examples=40, deadline=None)
@@ -97,20 +105,19 @@ def test_memo_matches_fresh_solves_along_restrictions(case, seed, data):
             value = data.draw(st.sampled_from(lam.values))
             value_class = [v for v in view.nodes if lam(v.length) == value]
             subset = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
-            within = data.draw(st.sampled_from([None, value_class, subset]))
-            best = max_weight_independent_set(view, within=within)
+            keep = data.draw(st.sampled_from([None, value_class, subset]))
+            part = view if keep is None else restrict(view, keep)
+            best = max_weight_independent_set(part)
             fresh = build_graph(view.nodes, view.n, lam, node_order=view.nodes)
-            expect = max_weight_independent_set(fresh, within=within)
+            fresh_part = fresh if keep is None else restrict(fresh, keep)
+            expect = max_weight_independent_set(fresh_part)
             assert view.set_of(best) == fresh.set_of(expect)
-            assert best == naive_max_weight_independent_set(view, within=within)
-            answers.append((view, within, best))
+            assert best == naive_max_weight_independent_set(part)
+            answers.append((part, best))
         # asked again, every answer comes from the memo, one entry per mask
-        for view, within, best in answers:
-            assert max_weight_independent_set(view, within=within) == best
-        masks = {
-            view._alive if within is None else view.mask_of(within)
-            for view, within, _ in answers
-        }
+        for part, best in answers:
+            assert max_weight_independent_set(part) == best
+        masks = {part._alive for part, _ in answers}
         assert built._solved.keys() == masks - {0}
     rebuilt = build_graph(graph.nodes, 6, lam, node_order=graph.nodes)
     assert rebuilt._solved == {} and rebuilt._solved is not graph._solved
@@ -120,18 +127,18 @@ def test_cap_refusal_is_never_memoised():
     lam = LengthFunction.uniform(3)
     graph = gen_random(18, 3, 0.6, 1, lam=lam).graph()
     assert graph.n > 16
-    within = graph.nodes[:10]
+    part = restrict(graph, graph.nodes[:10])
     # a refusal raises again on repeat and leaves no memo entry
     for _ in range(2):
         with pytest.raises(ExactSearchCapExceeded):
-            max_weight_independent_set(graph, within=within, node_cap=9)
+            max_weight_independent_set(part, node_cap=9)
     assert graph._solved == {}
     # an answer stored without a cap does not let a smaller cap through
-    best = max_weight_independent_set(graph, within=within)
-    assert graph._solved == {graph.mask_of(within): best}
+    best = max_weight_independent_set(part)
+    assert graph._solved == {part._alive: best}
     with pytest.raises(ExactSearchCapExceeded):
-        max_weight_independent_set(graph, within=within, node_cap=9)
-    assert max_weight_independent_set(graph, within=within, node_cap=10) == best
+        max_weight_independent_set(part, node_cap=9)
+    assert max_weight_independent_set(part, node_cap=10) == best
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,9 +164,10 @@ def test_restriction_to_node_subset():
     lam = LengthFunction.uniform(3)
     graph = gen_random(6, 3, 0.6, 5, lam=lam).graph()
     short = [v for v in graph.nodes if v.length == 2]
-    best = max_weight_independent_set(graph, within=short)
+    part = restrict(graph, short)
+    best = max_weight_independent_set(part)
     assert graph.set_of(best) <= frozenset(short)
-    assert best == naive_max_weight_independent_set(graph, within=short)
+    assert best == naive_max_weight_independent_set(part)
 
 
 def test_cap_refuses_oversized_suffix_search():
@@ -181,3 +189,26 @@ def test_lexicographic_tie_break_is_first_by_rank():
     best = max_weight_independent_set(graph)
     assert graph.set_of(best) == frozenset({a, d})
     assert naive_max_weight_independent_set(graph) == best
+
+
+def test_solves_leave_no_reference_cycles():
+    # the branch-and-bound and the all-for-q search are closures that call
+    # themselves; each call drops that self-reference when it is done, so
+    # its tables are freed at once and the cyclic collector finds nothing
+    lam = LengthFunction.of(3, "1", "9/10")
+    small = gen_random(8, 3, 0.5, 3, lam=lam).graph()
+    graphs = (small, shifted_copy(small, 20))
+    assert graphs[0].n <= 16 < graphs[1].n
+    rules = (expansion_rule(), all_for_q_rule(2))
+    gc.collect()
+    gc.disable()
+    try:
+        for graph in graphs:
+            for length in (2, 3):
+                # uncached: each restriction is a new alive mask
+                max_weight_independent_set(graph.remove_nodes(graph.length_mask(length)))
+            assert graph._solved
+            assert run_local_search(graph, rules).iterations > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle
-from bxmech.cyclegraph import build_from_wishes, build_graph
+from bxmech.cyclegraph import build_graph
 from bxmech.instances import gbad_blue_set, gen_gbad, gen_random
 from bxmech.localsearch import (
     ImprovementRule,

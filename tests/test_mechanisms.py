@@ -19,7 +19,7 @@ from bxmech.instances import (
 )
 from bxmech.localsearch import SearchStats, all_for_q_rule, expansion_rule
 from bxmech.mechanisms import (
-    RandomizedMechanism,
+    Mechanism,
     catalog,
     concatenate,
     greedy_mechanism,
@@ -31,7 +31,7 @@ from bxmech.mechanisms import (
     nu_mechanism,
     opt_mechanism,
     parse_mechanism,
-    randomized_wrapper,
+    randomized_mechanism,
 )
 from bxmech.verification import oracle_max_weight_is
 
@@ -264,31 +264,33 @@ class TestRandomizedWrapper:
     def graph(self):
         return build_from_wishes(self.wishes(), UNIFORM3)
 
+    def solve(self, zeta, graph, seed):
+        return randomized_mechanism(greedy_mechanism(), zeta, seed).solve(graph)
+
     def test_deterministic_given_seed(self):
         g = self.graph()
-        outs = {
-            randomized_wrapper(greedy_mechanism(), Fraction(1, 10), g, 7).cycles
-            for _ in range(5)
-        }
+        mech = randomized_mechanism(greedy_mechanism(), Fraction(1, 10), 7)
+        outs = {mech.solve(g) for _ in range(5)}
+        outs.add(self.solve(Fraction(1, 10), g, 7))
         assert len(outs) == 1
 
     def test_base_branch_returns_mechanism_output(self):
         # seed 0 draws the base branch for zeta = 1/10
-        ex = randomized_wrapper(greedy_mechanism(), Fraction(1, 10), self.graph(), 0)
-        assert len(ex.cycles) == 2
+        assert len(self.solve(Fraction(1, 10), self.graph(), 0)) == 2
 
     def test_no_cycles_gives_identity_on_lottery_branch(self):
         g = build_from_wishes(WishListVector.from_dict(3, {1: {2}, 2: {3}}), UNIFORM3)
         hit_identity = False
         for seed in range(200):
-            ex = randomized_wrapper(greedy_mechanism(), Fraction(1, 2), g, seed)
-            assert ex.cycles == frozenset()
+            assert self.solve(Fraction(1, 2), g, seed) == frozenset()
             hit_identity = True
         assert hit_identity
 
     def test_rejects_bad_zeta(self):
-        with pytest.raises(ValueError):
-            randomized_wrapper(greedy_mechanism(), Fraction(0), self.graph(), 0)
+        # checked when the mechanism is built, before any graph is seen
+        for zeta in (Fraction(0), Fraction(1)):
+            with pytest.raises(ValueError):
+                randomized_mechanism(greedy_mechanism(), zeta, 0)
 
     def test_lottery_frequency_matches_zeta(self):
         # base branch always returns both 2-cycles; the lottery branch never does
@@ -298,7 +300,7 @@ class TestRandomizedWrapper:
         lottery = sum(
             1
             for seed in range(draws)
-            if len(randomized_wrapper(greedy_mechanism(), zeta, g, seed).cycles) <= 1
+            if len(self.solve(zeta, g, seed)) <= 1
         )
         mean = draws * zeta
         sigma = (draws * zeta * (1 - zeta)) ** Fraction(1, 2)
@@ -314,7 +316,7 @@ class TestRandomizedWrapper:
         total = sum(
             (
                 social_welfare(
-                    randomized_wrapper(greedy_mechanism(), zeta, g, seed),
+                    g.exchange_from(self.solve(zeta, g, seed)),
                     w,
                     UNIFORM3,
                 )
@@ -342,14 +344,29 @@ class TestSpecParsing:
         assert parse_mechanism(spec).name == name
 
     def test_randomized_spec(self):
-        mech = parse_mechanism("rand:zeta=1/10:base=ls:q=2")
-        assert isinstance(mech, RandomizedMechanism)
-        assert mech.zeta == Fraction(1, 10)
-        assert mech.base.name == "ls:q=2"
+        mech = parse_mechanism("rand:zeta=1/10:base=ls:q=2", seed=3)
+        assert isinstance(mech, Mechanism)
+        assert mech.name == "rand:zeta=1/10:base=ls:q=2"
+        assert mech.params["zeta"] == Fraction(1, 10)
+        assert mech.params["base"].name == "ls:q=2"
+        assert mech.claimed_bound(UNIFORM3) is None
+        g = gen_random(8, 3, 0.5, 1).graph()
+        assert mech.solve(g) == randomized_mechanism(
+            mech.params["base"], Fraction(1, 10), 3
+        ).solve(g)
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "greedy2", "ls:p=2", "ls:q=*", "rand:base=greedy", "rand:zeta=1/2", "opt:l=x"],
+        [
+            "",
+            "greedy2",
+            "ls:p=2",
+            "ls:q=*",
+            "rand:base=greedy",
+            "rand:zeta=1/2",
+            "rand:zeta=3/2:base=greedy",
+            "opt:l=x",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -360,9 +377,9 @@ class TestSpecParsing:
         g = gen_random(20, 3, 0.25, 5).graph()  # 20 agents: no subset DP; 35 nodes
         capped = parse_mechanism(spec, node_cap=34)
         with pytest.raises(ExactSearchCapExceeded, match="cap of 34 nodes"):
-            getattr(capped, "base", capped).solve(g)
+            capped.params.get("base", capped).solve(g)
         mech = parse_mechanism(spec, node_cap=35)
-        assert getattr(mech, "base", mech).solve(g)
+        assert mech.params.get("base", mech).solve(g)
 
     def test_claimed_bounds(self):
         assert parse_mechanism("greedy").claimed_bound(UNIFORM3) == 3

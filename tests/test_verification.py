@@ -17,7 +17,6 @@ from bxmech.instances import (
     gen_ladder,
     gen_random,
 )
-from bxmech.localsearch import SearchStats
 from bxmech.mechanisms import (
     broken_swap_algorithm,
     greedy_mechanism,
@@ -89,7 +88,7 @@ class TestMeasureRatio:
         g = gen_gbad(1).graph()
         mech = ls_mechanism(1)
         report = measure_ratio(
-            lambda gg: mech.solve(gg),
+            mech.solve(g),
             g,
             bound=Fraction(5, 2),
             instance="gbad-q1",
@@ -100,14 +99,14 @@ class TestMeasureRatio:
 
     def test_greedy_on_comb(self):
         g = gen_comb(2, 3, 3, FLAT3).graph()
-        report = measure_ratio(lambda gg: greedy_mechanism().solve(gg), g, bound=None)
+        report = measure_ratio(greedy_mechanism().solve(g), g, bound=None)
         assert report.mechanism_weight == 2
         assert report.oracle_weight == Fraction(27, 5)
         assert report.ratio == Fraction(27, 10)
 
     def test_single_cycle_ratio_one(self):
         g = build_graph([TradingCycle((1, 2))], 2, UNIFORM3)
-        report = measure_ratio(lambda gg: greedy_mechanism().solve(gg), g, bound=None)
+        report = measure_ratio(greedy_mechanism().solve(g), g, bound=None)
         assert report.ratio == 1
 
 
@@ -270,5 +269,5 @@ def test_ls_output_not_agent_maximal_on_gbad():
     for q in (1, 2):
         g = gen_gbad(q).graph()
         mech = ls_mechanism(q)
-        report = measure_ratio(lambda gg: mech.solve(gg), g, bound=None)
+        report = measure_ratio(mech.solve(g), g, bound=None)
         assert report.ratio > 2

@@ -178,7 +178,9 @@ class TradingCycle:
 
     The sequence is rotated so the smallest agent id comes first; two cycles
     are equal iff their canonical sequences are equal.  Orientation matters:
-    (1, 2, 3) and (1, 3, 2) are different cycles.
+    (1, 2, 3) and (1, 3, 2) are different cycles.  The hash is computed once,
+    as the value the dataclass would give, ``hash((agents,))``, so sets of
+    cycles keep their iteration order.
     """
 
     agents: tuple[int, ...]
@@ -192,7 +194,12 @@ class TradingCycle:
         if any(a < 1 for a in agents):
             raise ValueError("agent ids are positive")
         pivot = agents.index(min(agents))
-        object.__setattr__(self, "agents", agents[pivot:] + agents[:pivot])
+        canonical = agents[pivot:] + agents[:pivot]
+        object.__setattr__(self, "agents", canonical)
+        object.__setattr__(self, "_hash", hash((canonical,)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def length(self) -> int:
@@ -239,10 +246,6 @@ class Exchange:
             seen.update(cycle.agents)
 
     @classmethod
-    def identity(cls) -> "Exchange":
-        return cls(cycles=frozenset())
-
-    @classmethod
     def of(cls, *cycles: Sequence[int]) -> "Exchange":
         return cls(cycles=frozenset(TradingCycle(tuple(c)) for c in cycles))
 
@@ -255,18 +258,18 @@ class Exchange:
 
     @property
     def length(self) -> int:
-        """Maximum cycle length; 0 for the identity exchange."""
+        """Maximum cycle length; 0 for the empty exchange."""
         return max((c.length for c in self.cycles), default=0)
 
     def pi(self, agent: int) -> int:
         for cycle in self.cycles:
-            if agent in cycle.agent_set:
+            if agent in cycle.agents:
                 return cycle.successor(agent)
         return agent
 
     def cycle_of(self, agent: int) -> TradingCycle | None:
         for cycle in self.cycles:
-            if agent in cycle.agent_set:
+            if agent in cycle.agents:
                 return cycle
         return None
 

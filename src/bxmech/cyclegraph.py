@@ -5,10 +5,11 @@ are adjacent exactly when their agent sets intersect.  Independent sets of
 this graph are in one-to-one correspondence with feasible exchanges, and the
 weight of a node is length * lambda(length), so maximum-weight independent
 sets correspond to welfare-optimal exchanges.  Weights are exact: the graph
-stores each node weight as an integer multiple of ``1 / scale``, where
-``scale`` is the least common multiple of the weights' denominators, so the
-inner loops of the solvers add and compare plain ints; ``weight``,
-``node_weight`` and ``weight_of_mask`` return ``Fraction``s.
+stores each node weight, and each lambda value, as an integer multiple of
+``1 / scale``, where ``scale`` is the least common multiple of lambda's
+denominators, so the inner loops of the solvers and the fuzzers add and
+compare plain ints; ``weight``, ``node_weight`` and ``weight_of_mask``
+return ``Fraction``s.
 
 The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
@@ -17,20 +18,24 @@ set of nodes is an int mask, bit i meaning node i of the built graph:
 adjacency is stored that way, and the rules, the solvers and
 :meth:`CycleGraph.remove_nodes` take and return masks.  Frozensets of
 cycles appear only at the API, through ``mask_of``, ``nodes_of`` and
-``set_of``.  Removing nodes does not rebuild anything: the restricted graph
-shares the built graph's tables and carries a smaller mask of alive nodes.
+``set_of``.
+
+:func:`build_graph` computes its tables once, in one :class:`GraphTables`:
+the nodes, ranks, adjacency, agent, length and value-class masks, the scaled
+weights and utilities, and the exact-solve memo.  A :class:`CycleGraph` is
+those shared tables plus a mask of alive nodes, so removing nodes rebuilds
+nothing: the restricted graph is the same tables with a smaller mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
-    Exchange,
     LengthFunction,
     TradingCycle,
     WishListVector,
@@ -79,23 +84,46 @@ def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
     return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class GraphTables:
+    """Everything one :func:`build_graph` call computes, shared by the built
+    graph and every restriction of it.
+
+    Bit i of every mask is node i of the build, in its node order.
+    ``weights[i]`` is node i's weight times ``scale`` and ``utility[l]`` is
+    lambda(l) times ``scale``, both ints: ``scale`` is the least common
+    multiple of lambda's denominators, so weights and utilities share one
+    denominator.  ``class_mask[l]`` holds the nodes whose length has the
+    value lambda(l) (lengths 2..k).
+
+    ``solved`` memoises :func:`bxmech.exact.max_weight_independent_set`: it
+    maps an alive node mask to the solver's answer mask.  It starts empty and
+    lives exactly as long as the build.
+    """
+
+    n: int
+    lam: LengthFunction
+    nodes: tuple[TradingCycle, ...]
+    rank: Mapping[TradingCycle, int]
+    adj: tuple[int, ...]
+    agent_mask: Mapping[int, int]
+    length_mask: Mapping[int, int]
+    class_mask: Mapping[int, int]
+    weights: tuple[int, ...]
+    utility: Mapping[int, int]
+    scale: int
+    solved: dict[int, int]
+
+
 class CycleGraph:
-    """Immutable conflict graph over trading cycles.
+    """Immutable conflict graph over trading cycles: the shared tables of one
+    build (``_tables``) and the mask of the nodes present (``_alive``).
 
-    Construct through :func:`build_graph`.  The tables (``_nodes``,
-    ``_rank``, ``_adj``, ``_agent_mask``, ``_length_mask``, ``_weights``) are
-    those of the built graph, and bit i of every mask means node i of it;
-    ``_weights[i]`` is the weight of node i times ``_scale``, an int.
-    ``_alive`` marks the nodes present: :meth:`remove_nodes` returns the same
-    tables with a smaller alive mask, and every query answers for the alive
-    nodes only.
-
-    ``_solved`` memoises :func:`bxmech.exact.max_weight_independent_set` on
-    these tables: it maps an allowed node mask to the solver's answer mask.
-    :func:`build_graph` starts it empty and :meth:`remove_nodes` passes it
-    on, so every restriction of one build shares it and it lives exactly as
-    long as the build.  It takes no part in equality or repr.
+    Construct through :func:`build_graph`.  :meth:`remove_nodes` returns the
+    same tables with a smaller alive mask, and every query answers for the
+    alive nodes only.  Two graphs are equal when they have the same agent
+    count, length function, node order and alive mask; the exact-solve memo
+    takes no part.  Do not assign to either field: the tables are shared.
 
     The rank of a node is its index in the built graph.  On a restricted
     graph the ranks may skip numbers, but they keep the order, so ranks
@@ -103,26 +131,38 @@ class CycleGraph:
     lists the alive nodes in that order.
     """
 
-    n: int
-    lam: LengthFunction
-    _nodes: tuple[TradingCycle, ...]
-    _rank: Mapping[TradingCycle, int]
-    _adj: tuple[int, ...]
-    _agent_mask: Mapping[int, int]
-    _length_mask: Mapping[int, int]
-    _weights: tuple[int, ...]
-    _scale: int
-    _alive: int
-    _solved: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, tables: GraphTables, alive: int) -> None:
+        self._tables = tables
+        self._alive = alive
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CycleGraph):
+            return NotImplemented
+        a, b = self._tables, other._tables
+        return self._alive == other._alive and (
+            a is b or (a.n, a.lam, a.nodes) == (b.n, b.lam, b.nodes)
+        )
+
+    def __repr__(self) -> str:
+        return f"CycleGraph(n={self.n}, lam={self.lam!r}, nodes={self.nodes!r})"
+
+    @property
+    def n(self) -> int:
+        return self._tables.n
+
+    @property
+    def lam(self) -> LengthFunction:
+        return self._tables.lam
 
     @property
     def k(self) -> int:
-        return self.lam.k
+        return self._tables.lam.k
 
     @cached_property
     def nodes(self) -> tuple[TradingCycle, ...]:
-        if self._alive == (1 << len(self._nodes)) - 1:
-            return self._nodes
+        nodes = self._tables.nodes
+        if self._alive == (1 << len(nodes)) - 1:
+            return nodes
         return self.nodes_of(self._alive)
 
     @property
@@ -130,23 +170,25 @@ class CycleGraph:
         return self._alive.bit_count()
 
     def __contains__(self, node: TradingCycle) -> bool:
-        r = self._rank.get(node)
+        r = self._tables.rank.get(node)
         return r is not None and (self._alive >> r) & 1 == 1
 
     def rank(self, node: TradingCycle) -> int:
-        r = self._rank.get(node)
+        r = self._tables.rank.get(node)
         if r is None or not (self._alive >> r) & 1:
             raise KeyError(f"unknown node {node}")
         return r
 
     def node_weight(self, node: TradingCycle) -> Fraction:
-        return Fraction(self._weights[self.rank(node)], self._scale)
+        t = self._tables
+        return Fraction(t.weights[self.rank(node)], t.scale)
 
     def weight(self, nodes: Iterable[TradingCycle]) -> Fraction:
-        return Fraction(sum(self._weights[self.rank(v)] for v in nodes), self._scale)
+        t = self._tables
+        return Fraction(sum(t.weights[self.rank(v)] for v in nodes), t.scale)
 
     def mask_of(self, nodes: Iterable[TradingCycle]) -> int:
-        rank = self._rank
+        rank = self._tables.rank
         mask = 0
         try:
             for v in nodes:
@@ -155,27 +197,30 @@ class CycleGraph:
             raise KeyError(f"unknown node {v}") from None
         dead = mask & ~self._alive
         if dead:
-            raise KeyError(f"unknown node {self._nodes[dead.bit_length() - 1]}")
+            raise KeyError(f"unknown node {self._tables.nodes[dead.bit_length() - 1]}")
         return mask
 
     def nodes_of(self, mask: int) -> tuple[TradingCycle, ...]:
         """The nodes of the bits of ``mask``, in node order."""
-        return tuple(self._nodes[i] for i in bits(mask))
+        nodes = self._tables.nodes
+        return tuple(nodes[i] for i in bits(mask))
 
     def set_of(self, mask: int) -> IndependentSet:
         return frozenset(self.nodes_of(mask))
 
     def weight_of_mask(self, mask: int) -> Fraction:
-        return Fraction(sum(self._weights[i] for i in bits(mask)), self._scale)
+        t = self._tables
+        return Fraction(sum(t.weights[i] for i in bits(mask)), t.scale)
 
     def neighbors(self, node: TradingCycle) -> IndependentSet:
-        return self.set_of(self._adj[self.rank(node)] & self._alive)
+        return self.set_of(self._tables.adj[self.rank(node)] & self._alive)
 
     def neighborhood_mask(self, mask: int) -> int:
+        adj = self._tables.adj
         out = 0
         while mask:
             low = mask & -mask
-            out |= self._adj[low.bit_length() - 1]
+            out |= adj[low.bit_length() - 1]
             mask ^= low
         return out & self._alive
 
@@ -195,40 +240,31 @@ class CycleGraph:
 
     def agent_mask(self, agent: int) -> int:
         """Mask of the alive nodes the agent partakes in."""
-        return self._agent_mask.get(agent, 0) & self._alive
+        return self._tables.agent_mask.get(agent, 0) & self._alive
 
     def length_mask(self, length: int) -> int:
         """Mask of the alive nodes of the given length."""
-        return self._length_mask.get(length, 0) & self._alive
+        return self._tables.length_mask.get(length, 0) & self._alive
+
+    def class_mask(self, length: int) -> int:
+        """Mask of the alive nodes whose length has the value lambda(length)."""
+        mask = self._tables.class_mask.get(length)
+        if mask is None:
+            raise ValueError(f"length {length} outside [2, {self.k}]")
+        return mask & self._alive
 
     def remove_nodes(self, drop_mask: int) -> "CycleGraph":
         """Induced subgraph without the nodes of ``drop_mask``: the same
-        tables with those bits cleared from the alive mask, so node order and
-        ranks are inherited.  Every bit must be an alive node."""
-        dead = drop_mask & ~self._alive
+        tables with those bits cleared from the alive mask, so node order,
+        ranks and the exact-solve memo are shared.  Every bit must be an
+        alive node."""
+        alive = self._alive
+        dead = drop_mask & ~alive
         if dead:
             raise KeyError(f"node {dead.bit_length() - 1} is not alive")
         if not drop_mask:
             return self
-        return CycleGraph(
-            self.n,
-            self.lam,
-            self._nodes,
-            self._rank,
-            self._adj,
-            self._agent_mask,
-            self._length_mask,
-            self._weights,
-            self._scale,
-            self._alive & ~drop_mask,
-            self._solved,
-        )
-
-    def exchange_from(self, independent: Iterable[TradingCycle]) -> Exchange:
-        nodes = frozenset(independent)
-        if not self.is_independent(nodes):
-            raise ValueError("node set is not independent")
-        return Exchange(cycles=nodes)
+        return CycleGraph(self._tables, alive & ~drop_mask)
 
 
 def build_graph(
@@ -269,22 +305,29 @@ def build_graph(
         for a in v.agents:
             mask |= agent_mask[a]
         adj.append(mask & ~(1 << i))
-    by_length = {ell: ell * lam(ell) for ell in range(2, lam.k + 1)}
-    scale = lcm(*(w.denominator for w in by_length.values()))
-    scaled = {ell: w.numerator * scale // w.denominator for ell, w in by_length.items()}
-    weights = tuple(scaled[v.length] for v in ordered)
-    return CycleGraph(
+    lengths = range(2, lam.k + 1)
+    scale = lcm(*(lam(ell).denominator for ell in lengths))
+    utility = {ell: lam(ell).numerator * (scale // lam(ell).denominator) for ell in lengths}
+    class_mask = dict.fromkeys(lengths, 0)
+    for ell in lengths:
+        for e in lengths:
+            if utility[e] == utility[ell]:
+                class_mask[ell] |= length_mask.get(e, 0)
+    tables = GraphTables(
         n=n,
         lam=lam,
-        _nodes=tuple(ordered),
-        _rank=rank,
-        _adj=tuple(adj),
-        _agent_mask=agent_mask,
-        _length_mask=length_mask,
-        _weights=weights,
-        _scale=scale,
-        _alive=(1 << len(ordered)) - 1,
+        nodes=tuple(ordered),
+        rank=rank,
+        adj=tuple(adj),
+        agent_mask=agent_mask,
+        length_mask=length_mask,
+        class_mask=class_mask,
+        weights=tuple(v.length * utility[v.length] for v in ordered),
+        utility=utility,
+        scale=scale,
+        solved={},
     )
+    return CycleGraph(tables, (1 << len(ordered)) - 1)
 
 
 def build_from_wishes(

@@ -15,13 +15,13 @@ weight sums.
 
 Both solvers search the graph's alive nodes: to restrict a search to some
 nodes, remove the others first (:meth:`CycleGraph.remove_nodes`).  They run
-on the graph's scaled integer weights (node weight times ``graph._scale``),
-which order sets exactly as the rational weights do, and return the chosen
-set as a node mask of the graph (bit i is node i).
+on the graph's scaled integer weights (node weight times the tables'
+``scale``), which order sets exactly as the rational weights do, and return
+the chosen set as a node mask of the graph (bit i is node i).
 
-``max_weight_independent_set`` is memoised in the graph's ``_solved`` dict,
-which belongs to the built graph's tables and is shared by every
-restriction of it.  The key is the alive node mask.  The memo is exact
+``max_weight_independent_set`` is memoised in the ``solved`` dict of the
+graph's shared build (:class:`~bxmech.cyclegraph.GraphTables`), which every
+restriction of that build reads and fills.  The key is the alive node mask.  The memo is exact
 because the answer depends only on the shared tables (nodes, adjacency,
 scaled weights, agent count) and on that mask: it is the lexicographically
 first optimum in the built graph's node order, whichever route (DP bound or
@@ -47,12 +47,13 @@ class ExactSearchCapExceeded(RuntimeError):
 def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> dict[int, int]:
     """Bitmask of each allowed node's agents, over the agents the allowed
     nodes touch: the i-th smallest such agent is bit i."""
-    touched = sorted({a for idx in allowed for a in graph._nodes[idx].agents})
+    nodes = graph._tables.nodes
+    touched = sorted({a for idx in allowed for a in nodes[idx].agents})
     bit = {a: 1 << i for i, a in enumerate(touched)}
     out: dict[int, int] = {}
     for idx in allowed:
         mask = 0
-        for a in graph._nodes[idx].agents:
+        for a in nodes[idx].agents:
             mask |= bit[a]
         out[idx] = mask
     return out
@@ -63,7 +64,7 @@ def _packing_dp(
 ) -> list[int]:
     """f[S] = best scaled packing weight using allowed nodes whose agents lie
     in S, for every subset S of the touched agents (``node_agents`` bits)."""
-    weights = graph._weights
+    weights = graph._tables.weights
     # lowest agent bit -> (agent mask, weight) of the nodes holding that agent
     by_agent: dict[int, list[tuple[int, int]]] = {}
     touched = 0
@@ -105,7 +106,8 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
             f"{mask.bit_count()} nodes over {graph.n} agents exceeds the "
             f"exhaustive-search cap of {node_cap} nodes"
         )
-    solved = graph._solved.get(mask)
+    tables = graph._tables
+    solved = tables.solved.get(mask)
     if solved is not None:
         return solved
 
@@ -114,7 +116,7 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
     node_agents = _agent_masks(graph, allowed)
     dp_table = _packing_dp(graph, allowed, node_agents) if use_dp else None
 
-    weights = graph._weights
+    weights, adj = tables.weights, tables.adj
     # suffix[i] = total scaled weight of allowed nodes at or after position i
     suffix = [0] * (len(allowed) + 1)
     for pos in range(len(allowed) - 1, -1, -1):
@@ -145,7 +147,7 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
         search(
             pos + 1,
             chosen | bit,
-            blocked | graph._adj[idx] | bit,
+            blocked | adj[idx] | bit,
             cur + weights[idx],
             uncovered & ~node_agents[idx],
         )
@@ -155,7 +157,7 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
     # search refers to itself through its closure; breaking that cycle frees
     # this call's tables now rather than at a full collection
     del search
-    graph._solved[mask] = best_mask
+    tables.solved[mask] = best_mask
     return best_mask
 
 
@@ -169,7 +171,8 @@ def naive_max_weight_independent_set(graph: CycleGraph, hard_cap: int = 20) -> i
     m = len(allowed)
     if m > hard_cap:
         raise ExactSearchCapExceeded(f"{m} nodes exceeds the naive cap {hard_cap}")
-    adj = [graph._adj[idx] for idx in allowed]
+    tables = graph._tables
+    adj = [tables.adj[idx] for idx in allowed]
     best_weight = 0
     best_key: tuple[int, ...] = ()
     best = 0
@@ -192,7 +195,7 @@ def naive_max_weight_independent_set(graph: CycleGraph, hard_cap: int = 20) -> i
         if not ok:
             continue
         members = [allowed[i] for i in range(m) if mask & (1 << i)]
-        weight = sum(graph._weights[i] for i in members)
+        weight = sum(tables.weights[i] for i in members)
         key = tuple(members)
         if weight > best_weight or (weight == best_weight and key < best_key):
             best_weight = weight

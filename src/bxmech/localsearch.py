@@ -64,10 +64,11 @@ def expansion_rule() -> ImprovementRule:
 
 def _agent_bits(graph: CycleGraph, mask: int) -> int:
     """Bitmask (bit a for agent a) of the agents of the nodes in ``mask``."""
+    nodes = graph._tables.nodes
     out = 0
     while mask:
         low = mask & -mask
-        for a in graph._nodes[low.bit_length() - 1].agents:
+        for a in nodes[low.bit_length() - 1].agents:
             out |= 1 << a
         mask ^= low
     return out
@@ -80,8 +81,9 @@ def _all_for_q_apply_factory(
         if not cur_mask:
             return None
         pool = graph.neighborhood_mask(cur_mask) & ~cur_mask
-        adj = graph._adj
-        weights = graph._weights
+        tables = graph._tables
+        adj = tables.adj
+        weights = tables.weights
         # per usable pool node r: (the current nodes r evicts, their agents,
         # r's agents); a node that evicts more than q current nodes can be
         # in no candidate.  by_evicts indexes the usable pool nodes by the
@@ -103,7 +105,7 @@ def _all_for_q_apply_factory(
             return None
         max_size = q * graph.k
         cur_agents = _agent_bits(graph, cur_mask)
-        agent_mask = graph._agent_mask
+        agent_mask = tables.agent_mask
         # full eviction set E -> the pool nodes that evict only inside E
         inside: dict[int, int] = {}
 
@@ -190,7 +192,7 @@ def _all_for_q_apply_factory(
         x_mask, evict_mask = found
         best = (cur_mask & ~evict_mask) | x_mask
         # sanity: the bookkeeping above can only produce heavier sets
-        assert graph.weight_of_mask(best) > graph.weight_of_mask(cur_mask)
+        assert sum(weights[i] for i in bits(best)) > sum(weights[i] for i in bits(cur_mask))
         return best
 
     return apply_fn
@@ -278,7 +280,7 @@ def run_local_search(
     """
     if not rules:
         raise ValueError("need at least one improvement rule")
-    weights = graph._weights
+    weights = graph._tables.weights
     current = current_weight = current_agents = 0
     steps: list[TraceStep] = []
     while True:

@@ -87,10 +87,23 @@ class LambdaProfile:
     flat_tail: bool | None
 
 
-@cache
 def lambda_profile(lam: LengthFunction) -> LambdaProfile:
-    """The profile of ``lam``, computed once per length function (the result
-    is shared, so ``equal_classes`` is read-only)."""
+    """The profile of ``lam``, computed once per distinct length function
+    (the result is shared, so ``equal_classes`` is read-only).
+
+    It is also kept on the instance, the way ``functools.cached_property``
+    keeps a value, so a solve that asks again for its graph's profile
+    hashes and compares no ``Fraction``.
+    """
+    memo = vars(lam)
+    profile = memo.get("_lambda_profile")
+    if profile is None:
+        profile = memo["_lambda_profile"] = _profile_of(lam)
+    return profile
+
+
+@cache
+def _profile_of(lam: LengthFunction) -> LambdaProfile:
     k = lam.k
     pairs = [
         (lo, hi)
@@ -162,7 +175,7 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
     """
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        adj = graph._adj
+        adj = graph._tables.adj
         blocked = 0
         picks = 0
         for j in range(lo, (graph.k if hi is None else hi) + 1):
@@ -192,13 +205,8 @@ def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
     """One exact solve restricted to the value class of length ``ell``."""
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        target = graph.lam(ell)
-        mask = 0
-        for length in range(2, graph.k + 1):
-            if graph.lam(length) == target:
-                mask |= graph.length_mask(length)
         return max_weight_independent_set(
-            graph.remove_nodes(graph._alive & ~mask), node_cap=node_cap
+            graph.remove_nodes(graph._alive & ~graph.class_mask(ell)), node_cap=node_cap
         )
 
     return run
@@ -328,11 +336,16 @@ def opt_mechanism(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
     )
 
 
+@cache
+def _io_solver(tumbles: tuple[int, ...], node_cap: int | None) -> Solver:
+    """io's solver for one set of tumble lengths, built once per
+    (tumbles, node_cap) and shared, as :func:`_nu_solver` is."""
+    return reduce(concatenate, [opt_class(ell, node_cap) for ell in tumbles])
+
+
 def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        tumbles = lambda_profile(graph.lam).tumbles
-        phases = [opt_class(ell, node_cap) for ell in tumbles]
-        return reduce(concatenate, phases)(graph, stats)
+        return _io_solver(lambda_profile(graph.lam).tumbles, node_cap)(graph, stats)
 
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
@@ -372,7 +385,7 @@ def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanis
         rng = random.Random(seed)
         if rng.randrange(zeta.denominator) < zeta.numerator:
             length = rng.randrange(2, graph.k + 1)
-            nodes = graph._nodes
+            nodes = graph._tables.nodes
             pool = sorted(
                 bits(graph.length_mask(length)), key=lambda i: cycle_sort_key(nodes[i])
             )

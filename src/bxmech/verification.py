@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     LengthFunction,
@@ -44,10 +44,17 @@ def oracle_max_weight_is(
 def graph_utility(graph: CycleGraph, chosen: IndependentSet, agent: int) -> Fraction:
     """Utility of an agent from an independent set: the length value of the
     unique chosen node she partakes in, else 0."""
+    tables = graph._tables
+    return Fraction(_scaled_utility(tables.utility, chosen, agent), tables.scale)
+
+
+def _scaled_utility(utility: Mapping[int, int], chosen: IndependentSet, agent: int) -> int:
+    """:func:`graph_utility` times the build's scale, read from its scaled
+    utility table: the fuzzers compare utilities as these ints."""
     for v in chosen:
-        if agent in v.agent_set:
-            return graph.lam(v.length)
-    return Fraction(0)
+        if agent in v.agents:
+            return utility[len(v.agents)]
+    return 0
 
 
 @dataclass(frozen=True)
@@ -138,20 +145,23 @@ def _node_subsets(
     rng: random.Random,
     exhaustive_limit: int = EXHAUSTIVE_NODE_LIMIT,
 ) -> Iterable[int]:
-    """Non-empty submasks of an agent's node mask: all of them when the
-    strategy space is small, otherwise a seeded sample of ``budget``."""
-    node_bits = [1 << i for i in bits(own)]
-    m = len(node_bits)
+    """Non-empty submasks of an agent's node mask: all of them, in increasing
+    order, when the strategy space is small, otherwise a seeded sample of
+    ``budget``."""
+    m = own.bit_count()
     if m <= exhaustive_limit:
-        picks: Iterable[int] = range(1, 1 << m)
-    else:
-        sample: dict[int, None] = {}  # distinct draws, in draw order
-        attempts = 0
-        while len(sample) < budget and attempts < budget * 4:
-            attempts += 1
-            sample[rng.randrange(1, 1 << m)] = None
-        picks = sample
-    for pick in picks:
+        sub = -own & own
+        while sub:
+            yield sub
+            sub = (sub - own) & own
+        return
+    node_bits = [1 << i for i in bits(own)]
+    sample: dict[int, None] = {}  # distinct draws, in draw order
+    attempts = 0
+    while len(sample) < budget and attempts < budget * 4:
+        attempts += 1
+        sample[rng.randrange(1, 1 << m)] = None
+    for pick in sample:
         yield sum(node_bits[i] for i in bits(pick))
 
 
@@ -169,27 +179,27 @@ def fuzz_truthfulness_nodes(
     hiding nodes can only yield nodes they already partake in.
     """
     base = solver(graph)
+    tables = graph._tables
+    utility, scale = tables.utility, tables.scale
     findings: list[ManipulationFinding] = []
     for agent in range(1, graph.n + 1):
         own = graph.agent_mask(agent)
         if not own:
             continue
-        honest = graph_utility(graph, base, agent)
-        best_possible = max(graph.lam(v.length) for v in graph.nodes_of(own))
-        if honest >= best_possible:
+        honest = _scaled_utility(utility, base, agent)
+        if honest >= max(utility[v.length] for v in graph.nodes_of(own)):
             continue
         rng = random.Random(_derive_seed(seed, agent, 1))
         for subset in _node_subsets(own, budget, rng, exhaustive_limit):
-            reduced = graph.remove_nodes(subset)
-            manipulated = graph_utility(reduced, solver(reduced), agent)
+            manipulated = _scaled_utility(utility, solver(graph.remove_nodes(subset)), agent)
             if manipulated > honest:
                 findings.append(
                     ManipulationFinding(
                         agent=agent,
                         kind="hide-nodes",
                         strategy=graph.nodes_of(subset),
-                        honest_utility=honest,
-                        manipulated_utility=manipulated,
+                        honest_utility=Fraction(honest, scale),
+                        manipulated_utility=Fraction(manipulated, scale),
                     )
                 )
     return findings
@@ -216,14 +226,16 @@ def fuzz_truthfulness_wishlists(
     """
     graph = build_from_wishes(true_wishes, lam, node_order)
     base = solver(graph)
+    tables = graph._tables
+    utility, scale = tables.utility, tables.scale
     findings: list[ManipulationFinding] = []
     for agent in range(1, true_wishes.n + 1):
         full = sorted(true_wishes.of(agent))
         if not full:
             continue
         own = graph.agent_mask(agent)
-        honest = graph_utility(graph, base, agent)
-        if own and honest >= max(graph.lam(v.length) for v in graph.nodes_of(own)):
+        honest = _scaled_utility(utility, base, agent)
+        if own and honest >= max(utility[v.length] for v in graph.nodes_of(own)):
             continue
         # each own node with the agent's successor on it: a reported subset
         # kills exactly the nodes whose outgoing arc it conceals
@@ -238,15 +250,16 @@ def fuzz_truthfulness_wishlists(
             masks = sorted(
                 {rng.randrange(0, (1 << m) - 1) for _ in range(budget)}
             )
-        tried: dict[int, Utility] = {}
+        tried: dict[int, int] = {}
         for mask in masks:
             reported = frozenset(full[i] for i in range(m) if mask & (1 << i))
             removed = sum(bit for bit, nxt in arcs if nxt not in reported)
             if removed in tried:
                 manipulated = tried[removed]
             else:
-                reduced = graph.remove_nodes(removed)
-                manipulated = graph_utility(reduced, solver(reduced), agent)
+                manipulated = _scaled_utility(
+                    utility, solver(graph.remove_nodes(removed)), agent
+                )
                 tried[removed] = manipulated
             if manipulated > honest:
                 findings.append(
@@ -254,8 +267,8 @@ def fuzz_truthfulness_wishlists(
                         agent=agent,
                         kind="wishlist-subset",
                         strategy=tuple(sorted(reported)),
-                        honest_utility=honest,
-                        manipulated_utility=manipulated,
+                        honest_utility=Fraction(honest, scale),
+                        manipulated_utility=Fraction(manipulated, scale),
                     )
                 )
     return findings

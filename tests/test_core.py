@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,13 @@ class TestLengthFunction:
             lam(5)
 
 
+@dataclass(frozen=True)
+class PlainCycle:
+    """A cycle's agents under the dataclass-generated hash, as a reference."""
+
+    agents: tuple[int, ...]
+
+
 class TestTradingCycle:
     def test_canonical_rotation(self):
         assert TradingCycle((3, 1, 2)).agents == (1, 2, 3)
@@ -78,6 +86,16 @@ class TestTradingCycle:
         c = TradingCycle((1, 2, 3))
         assert c.successor(3) == 1
         assert set(c.arcs()) == {(1, 2), (2, 3), (3, 1)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.permutations(range(1, 7)).map(lambda p: tuple(p[:3])), max_size=12))
+    def test_cached_hash_is_the_dataclass_hash(self, seqs):
+        # the hash is cached as the value the dataclass computed, so sets of
+        # cycles iterate in the same order as before the cache
+        cycles = [TradingCycle(s) for s in seqs]
+        plain = [PlainCycle(c.agents) for c in cycles]
+        assert [hash(c) for c in cycles] == [hash(c) for c in plain]
+        assert [c.agents for c in frozenset(cycles)] == [c.agents for c in frozenset(plain)]
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -100,13 +118,13 @@ class TestExchange:
         assert ex.length == 3
 
     def test_identity(self):
-        assert Exchange.identity().partakers == frozenset()
-        assert Exchange.identity().length == 0
+        assert Exchange().partakers == frozenset()
+        assert Exchange().length == 0
 
 
 def test_respects_examples():
     w = WishListVector.from_dict(2, {1: {2}, 2: {1}})
-    assert respects(Exchange.identity(), w)
+    assert respects(Exchange(), w)
     assert respects(Exchange.of((1, 2)), w)
     w2 = WishListVector.from_dict(2, {1: {2}})
     assert not respects(Exchange.of((1, 2)), w2)
@@ -124,7 +142,7 @@ def test_utility_cases():
         5, {1: {2}, 2: {1}, 3: {4}, 4: {5}, 5: {3}}
     )
     ex = Exchange.of((1, 2), (3, 4, 5))
-    assert utility(1, Exchange.identity(), w, lam3) == 0
+    assert utility(1, Exchange(), w, lam3) == 0
     assert utility(1, ex, w, LengthFunction.uniform(3)) == 1
     assert utility(3, ex, w, lam3) == Fraction(9, 10)
     # receiving a non-wished item is the minus-infinity case
@@ -144,7 +162,7 @@ def test_social_welfare_examples():
     uniform = LengthFunction.uniform(3)
     w = WishListVector.from_dict(5, {1: {2}, 2: {1}, 3: {4}, 4: {5}, 5: {3}})
     ex = Exchange.of((1, 2), (3, 4, 5))
-    assert social_welfare(Exchange.identity(), w, uniform) == 0
+    assert social_welfare(Exchange(), w, uniform) == 0
     assert social_welfare(ex, w, uniform) == 5
 
     # two vertical 3-cycles at lambda = (1, 9/10) are worth 2*3*(9/10)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import (
+    Exchange,
     LengthFunction,
     TradingCycle,
     WishListVector,
@@ -13,6 +14,7 @@ from bxmech.core import (
     social_welfare,
 )
 from bxmech.cyclegraph import build_from_wishes, build_graph, enumerate_cycles
+from bxmech.exact import max_weight_independent_set
 from bxmech.instances import gen_random
 
 UNIFORM3 = LengthFunction.uniform(3)
@@ -159,6 +161,100 @@ def test_remove_nodes_inherits_order():
         )
 
 
+LAMBDA_GRID = [Fraction(a, b) for b in (1, 2, 3, 4, 5, 7, 10) for a in range(1, b + 1)]
+
+
+def drawn_lambda(data, k):
+    values = data.draw(st.lists(st.sampled_from(LAMBDA_GRID), min_size=k - 1, max_size=k - 1))
+    return LengthFunction(k=k, values=tuple(sorted(values, reverse=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=5), st.integers(min_value=0, max_value=10_000), st.data())
+def test_lambda_tables_match_fraction_reference(k, seed, data):
+    # class_mask, utility and weights are computed once per build with ints;
+    # the reference compares the length function's Fractions, as opt_class
+    # did on every solve, on the built graph and on a drawn restriction
+    lam = drawn_lambda(data, k)
+    g = gen_random(7, k, 0.4, seed, lam=lam).graph()
+    drop = data.draw(st.sets(st.sampled_from(g.nodes))) if g.nodes else set()
+    tables = g._tables
+    for graph in (g, g.remove_nodes(g.mask_of(drop))):
+        for ell in range(2, k + 1):
+            expect = 0
+            for length in range(2, k + 1):
+                if lam(length) == lam(ell):
+                    expect |= graph.length_mask(length)
+            assert graph.class_mask(ell) == expect
+            assert Fraction(tables.utility[ell], tables.scale) == lam(ell)
+        for v in graph.nodes:
+            assert Fraction(tables.weights[graph.rank(v)], tables.scale) == v.length * lam(v.length)
+        for ell in (1, k + 1):
+            with pytest.raises(ValueError):
+                graph.class_mask(ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_restriction_is_a_view_of_the_shared_build(seed, data):
+    # a restriction is the built graph's tables and a smaller alive mask:
+    # it shares the tables and the memo, keeps ranks and node order, answers
+    # every query as a fresh build of its nodes in that order does, and
+    # rejects dead bits
+    lam = LengthFunction.of(4, "1", "2/3", "2/3")
+    g = gen_random(7, 4, 0.3, seed, lam=lam).graph()
+    if not g.nodes:
+        return
+    view = g
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        alive = list(view.nodes)
+        drop = data.draw(st.sets(st.sampled_from(alive))) if alive else set()
+        before = view
+        view = view.remove_nodes(view.mask_of(drop))
+        assert view._tables is g._tables and view._tables.solved is g._tables.solved
+        assert list(view.nodes) == [v for v in g.nodes if v in set(alive) - drop]
+        assert all(view.rank(v) == g.rank(v) for v in view.nodes)
+        assert view == g.remove_nodes(g._alive & ~view._alive)
+        assert (view == before) == (not drop)
+        for v in drop:
+            assert v not in view
+            with pytest.raises(KeyError):
+                view.rank(v)
+            with pytest.raises(KeyError):
+                view.remove_nodes(1 << g.rank(v))
+        fresh = build_graph(view.nodes, view.n, lam, node_order=view.nodes)
+        assert fresh.nodes == view.nodes and fresh.num_nodes == view.num_nodes
+
+        def translated(mask, src=view, dst=fresh):
+            return dst.mask_of(src.nodes_of(mask))
+
+        for v in view.nodes:
+            assert view.neighbors(v) == fresh.neighbors(v)
+            assert view.node_weight(v) == fresh.node_weight(v)
+        for a in range(1, view.n + 1):
+            assert translated(view.agent_mask(a)) == fresh.agent_mask(a)
+        for ell in range(2, 5):
+            assert translated(view.length_mask(ell)) == fresh.length_mask(ell)
+            assert translated(view.class_mask(ell)) == fresh.class_mask(ell)
+        picked = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
+        assert view.is_independent(picked) == fresh.is_independent(picked)
+        assert view.weight(picked) == fresh.weight(picked)
+    with pytest.raises(KeyError):
+        g.remove_nodes(1 << g.num_nodes)
+
+
+def test_equality_ignores_the_memo():
+    g = build_from_wishes(complete_digraph(4), UNIFORM3)
+    twin = build_graph(g.nodes, g.n, UNIFORM3, node_order=g.nodes)
+    max_weight_independent_set(g)
+    assert g._tables.solved and twin._tables.solved == {}
+    assert g == twin
+    assert g != twin.remove_nodes(1)
+    assert g != build_graph(g.nodes, g.n, UNIFORM3, node_order=g.nodes[::-1])
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_custom_node_order():
     a, b = TradingCycle((1, 2)), TradingCycle((3, 4))
     g = build_graph([a, b], 4, UNIFORM3, node_order=[b, a])
@@ -229,7 +325,8 @@ def test_exchange_round_trip(seed):
         if g.is_independent(chosen + [v]):
             chosen.append(v)
     iset = frozenset(chosen)
-    ex = g.exchange_from(iset)
+    assert g.is_independent(iset)
+    ex = Exchange(cycles=iset)
     assert ex.cycles == iset
     assert social_welfare(ex, bundle.wishes, bundle.lam) == g.weight(iset)
 

@@ -95,13 +95,13 @@ def test_memo_matches_fresh_solves_along_restrictions(case, seed, data):
     assert graph.n <= 16 < shifted.n
     steps = data.draw(st.integers(min_value=1, max_value=4))
     for built in (graph, shifted):
-        assert built._solved == {}
+        assert built._tables.solved == {}
         view, answers = built, []
         for _ in range(steps):
             alive = list(bits(view._alive))
             drop = data.draw(st.sets(st.sampled_from(alive))) if alive else set()
             view = view.remove_nodes(sum(1 << i for i in drop))
-            assert view._solved is built._solved
+            assert view._tables.solved is built._tables.solved
             value = data.draw(st.sampled_from(lam.values))
             value_class = [v for v in view.nodes if lam(v.length) == value]
             subset = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
@@ -118,9 +118,9 @@ def test_memo_matches_fresh_solves_along_restrictions(case, seed, data):
         for part, best in answers:
             assert max_weight_independent_set(part) == best
         masks = {part._alive for part, _ in answers}
-        assert built._solved.keys() == masks - {0}
+        assert built._tables.solved.keys() == masks - {0}
     rebuilt = build_graph(graph.nodes, 6, lam, node_order=graph.nodes)
-    assert rebuilt._solved == {} and rebuilt._solved is not graph._solved
+    assert rebuilt._tables.solved == {} and rebuilt._tables.solved is not graph._tables.solved
 
 
 def test_cap_refusal_is_never_memoised():
@@ -132,10 +132,10 @@ def test_cap_refusal_is_never_memoised():
     for _ in range(2):
         with pytest.raises(ExactSearchCapExceeded):
             max_weight_independent_set(part, node_cap=9)
-    assert graph._solved == {}
+    assert graph._tables.solved == {}
     # an answer stored without a cap does not let a smaller cap through
     best = max_weight_independent_set(part)
-    assert graph._solved == {part._alive: best}
+    assert graph._tables.solved == {part._alive: best}
     with pytest.raises(ExactSearchCapExceeded):
         max_weight_independent_set(part, node_cap=9)
     assert max_weight_independent_set(part, node_cap=10) == best
@@ -207,7 +207,7 @@ def test_solves_leave_no_reference_cycles():
             for length in (2, 3):
                 # uncached: each restriction is a new alive mask
                 max_weight_independent_set(graph.remove_nodes(graph.length_mask(length)))
-            assert graph._solved
+            assert graph._tables.solved
             assert run_local_search(graph, rules).iterations > 0
         assert gc.collect() == 0
     finally:

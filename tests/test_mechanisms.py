@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bxmech.core import LengthFunction, TradingCycle, WishListVector, respects
+from bxmech.core import Exchange, LengthFunction, TradingCycle, WishListVector, respects
 from bxmech.cyclegraph import build_from_wishes, build_graph
 from bxmech.exact import ExactSearchCapExceeded
 from bxmech.instances import (
@@ -253,7 +253,8 @@ class TestIndividualRationality:
         for mech in catalog(qs=(1,)):
             if mech.truthful_for == "uniform":
                 continue
-            ex = g.exchange_from(mech.solve(g))
+            # solve re-checks that its output is independent
+            ex = Exchange(cycles=mech.solve(g))
             assert respects(ex, bundle.wishes)
 
 
@@ -316,7 +317,7 @@ class TestRandomizedWrapper:
         total = sum(
             (
                 social_welfare(
-                    g.exchange_from(self.solve(zeta, g, seed)),
+                    Exchange(cycles=self.solve(zeta, g, seed)),
                     w,
                     UNIFORM3,
                 )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle
-from bxmech.cyclegraph import build_from_wishes, build_graph
+from bxmech.cyclegraph import bits, build_from_wishes, build_graph
 from bxmech.exact import ExactSearchCapExceeded, naive_max_weight_independent_set
 from bxmech.instances import (
     comb_horizontal_cycle,
@@ -27,6 +27,7 @@ from bxmech.mechanisms import (
     opt_mechanism,
 )
 from bxmech.verification import (
+    EXHAUSTIVE_NODE_LIMIT,
     CappedBipartite,
     ManipulationFinding,
     check_bipartite_weight_bound,
@@ -37,6 +38,8 @@ from bxmech.verification import (
     measure_ratio,
     oracle_max_weight_is,
     random_capped_bipartite,
+    _derive_seed,
+    _node_subsets,
 )
 from bxmech.verification import test_inpa as inpa_check
 
@@ -144,6 +147,107 @@ class TestNodeFuzz:
         g = gen_random(7, 3, 0.5, seed).graph()
         mech = ls_mechanism(1)
         assert fuzz_truthfulness_nodes(lambda gg: mech.solve(gg), g, budget=16, seed=1) == []
+
+
+def deposit_subsets(own, budget, rng, exhaustive_limit):
+    """The strategy enumeration the submask walk replaces: deposit every
+    pick 1..2^m-1 (or a seeded sample of picks) into the bits of ``own``."""
+    node_bits = [1 << i for i in bits(own)]
+    m = len(node_bits)
+    if m <= exhaustive_limit:
+        picks = range(1, 1 << m)
+    else:
+        sample = {}
+        attempts = 0
+        while len(sample) < budget and attempts < budget * 4:
+            attempts += 1
+            sample[rng.randrange(1, 1 << m)] = None
+        picks = sample
+    return [sum(node_bits[i] for i in bits(pick)) for pick in picks]
+
+
+def test_submask_walk_is_the_deposit_sequence():
+    # every mask of up to 12 bits, and wider masks spread over 40 positions
+    for own in range(1 << EXHAUSTIVE_NODE_LIMIT):
+        walked = list(_node_subsets(own, 64, random.Random(0)))
+        assert walked == deposit_subsets(own, 64, random.Random(0), EXHAUSTIVE_NODE_LIMIT)
+    for seed in range(200):
+        rng = random.Random(seed)
+        own = sum(1 << i for i in rng.sample(range(40), rng.randint(1, 16)))
+        assert list(_node_subsets(own, 32, random.Random(seed))) == deposit_subsets(
+            own, 32, random.Random(seed), EXHAUSTIVE_NODE_LIMIT
+        )
+
+
+def reference_node_fuzz(solver, graph, budget, seed):
+    """fuzz_truthfulness_nodes as it compared Fraction utilities."""
+    base = solver(graph)
+    findings = []
+    for agent in range(1, graph.n + 1):
+        own = graph.agent_mask(agent)
+        if not own:
+            continue
+        honest = graph_utility(graph, base, agent)
+        if honest >= max(graph.lam(v.length) for v in graph.nodes_of(own)):
+            continue
+        rng = random.Random(_derive_seed(seed, agent, 1))
+        for subset in deposit_subsets(own, budget, rng, EXHAUSTIVE_NODE_LIMIT):
+            reduced = graph.remove_nodes(subset)
+            manipulated = graph_utility(reduced, solver(reduced), agent)
+            if manipulated > honest:
+                findings.append(
+                    ManipulationFinding(
+                        agent, "hide-nodes", graph.nodes_of(subset), honest, manipulated
+                    )
+                )
+    return findings
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([("1", "1/2"), ("1", "9/10"), ("5/6", "3/7"), ("1", "2/3", "3/7")]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=3),
+)
+def test_int_utilities_find_what_fraction_utilities_find(values, seed, fuzz_seed):
+    # the fuzzer compares scaled int utilities and builds Fractions only for
+    # a finding; ls cheats under non-uniform lambda, so the lists are not
+    # empty in general
+    lam = LengthFunction.of(len(values) + 1, *values)
+    g = gen_random(6, lam.k, 0.5, seed, lam=lam).graph()
+    for mech in (ls_mechanism(1), greedy_mechanism()):
+        mine = fuzz_truthfulness_nodes(mech.solve, g, budget=8, seed=fuzz_seed)
+        expect = reference_node_fuzz(mech.solve, g, 8, fuzz_seed)
+        assert mine == expect
+        assert findings_to_json_lines(mine) == findings_to_json_lines(expect)
+
+
+def test_warm_solves_and_a_truthful_fuzz_do_no_fraction_work(monkeypatch):
+    # on a warm graph (its profile, memo and shared solvers already made), the
+    # exact class solves, nu and the node fuzzer run on ints only
+    bundle = gen_random(7, 3, 0.4, 0 * 7919 + 3 * 13 + 4, lam=FLAT3)  # a corpus entry
+    g = bundle.graph()
+    mechs = [io_mechanism(), nu_mechanism(1), opt_mechanism(2)]
+
+    def work():
+        out = [m.solve(g) for m in mechs]
+        return out, fuzz_truthfulness_nodes(nu_mechanism(1).solve, g, seed=5)
+
+    warm = work()
+    assert warm[1] == [] and any(warm[0])
+    calls = {}
+    for name in ("__hash__", "__eq__", "_richcmp"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) == Fraction(2, 4) and calls == {"__eq__": 1}
+    calls.clear()
+    assert work() == warm
+    assert calls == {}
 
 
 class TestWishlistFuzz:

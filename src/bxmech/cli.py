@@ -14,19 +14,22 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
+from .canonical import canonical_json
 from .core import (
     LengthFunction,
     cycle_sort_key,
+    parse_int,
     parse_rational,
     rational_str,
 )
 from .exact import EXACT_NODE_CAP, ExactSearchCapExceeded
 from .instances import (
     InstanceBundle,
-    bundle_to_json_dict,
+    bundle_to_text,
     gen_comb,
     gen_double_comb,
     gen_fan,
@@ -74,15 +77,21 @@ def _parse_keyvals(text: str) -> dict[str, list[str]]:
 def _lam_from_params(params: dict[str, list[str]], k: int) -> LengthFunction:
     if "lambda" not in params:
         return LengthFunction.uniform(k)
-    values = tuple(parse_rational(v) for v in params["lambda"])
+    values = tuple(parse_rational(v, "parameter lambda") for v in params["lambda"])
     return LengthFunction(k=k, values=values)
 
 
-def _single_int(params: dict[str, list[str]], key: str) -> int:
+def _single(params: dict[str, list[str]], key: str) -> str:
     if key not in params:
         raise UsageError(f"missing parameter {key}")
-    (value,) = params[key]
-    return int(value)
+    values = params[key]
+    if len(values) != 1:
+        raise UsageError(f"parameter {key} takes one value, got {','.join(values)!r}")
+    return values[0]
+
+
+def _single_int(params: dict[str, list[str]], key: str) -> int:
+    return parse_int(_single(params, key), f"parameter {key}")
 
 
 def build_generator_spec(spec: str) -> InstanceBundle:
@@ -91,7 +100,7 @@ def build_generator_spec(spec: str) -> InstanceBundle:
     if family == "comb" or family == "dcomb":
         h = _single_int(params, "h")
         v = _single_int(params, "v")
-        k = int(params["k"][0]) if "k" in params else v
+        k = _single_int(params, "k") if "k" in params else v
         if "lambda" not in params:
             raise UsageError(f"{family} requires an explicit lambda")
         lam = _lam_from_params(params, k)
@@ -109,10 +118,14 @@ def build_generator_spec(spec: str) -> InstanceBundle:
         return gen_nonrealizable()
     if family == "rand":
         n = _single_int(params, "n")
-        k = int(params["k"][0]) if "k" in params else 3
-        (p_text,) = params.get("p", ["0.5"])
+        k = _single_int(params, "k") if "k" in params else 3
+        p_text = _single(params, "p") if "p" in params else "0.5"
+        try:
+            p = float(p_text)
+        except ValueError:
+            raise UsageError(f"parameter p must be a number, got {p_text!r}") from None
         seed = _single_int(params, "seed") if "seed" in params else 0
-        return gen_random(n, k, float(p_text), seed, _lam_from_params(params, k))
+        return gen_random(n, k, p, seed, _lam_from_params(params, k))
     raise UsageError(f"unknown generator family {family!r}")
 
 
@@ -126,7 +139,9 @@ def expand_generator_family(spec: str) -> list[str]:
     for key, values in params.items():
         if len(values) == 1 and ".." in values[0]:
             lo_text, hi_text = values[0].split("..", 1)
-            choices = [[str(x)] for x in range(int(lo_text), int(hi_text) + 1)]
+            lo = parse_int(lo_text, f"parameter {key}")
+            hi = parse_int(hi_text, f"parameter {key}")
+            choices = [[str(x)] for x in range(lo, hi + 1)]
             if not choices:
                 raise UsageError(f"empty range {key}={values[0]}")
         else:
@@ -195,9 +210,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         save_instance(bundle, args.out)
         target = args.out
     else:
-        sys.stdout.write(
-            json.dumps(bundle_to_json_dict(bundle), sort_keys=True, indent=2) + "\n"
-        )
+        sys.stdout.write(bundle_to_text(bundle))
         target = "<stdout>"
     sys.stderr.write(
         f"{bundle.name}: n={bundle.n} agents, {graph.num_nodes} cycles -> {target}\n"
@@ -242,7 +255,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "ratio_report": ratio_doc,
         "warnings": warnings,
     }
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(canonical_json(report) + "\n", args.out)
     return 0
 
 
@@ -305,7 +318,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append(_ratio_json(report))
     rows.sort(key=lambda r: (r["instance"], r["mechanism"]))
     if args.format == "json":
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        text = canonical_json(rows) + "\n"
     else:
         header = "instance,mechanism,weight,oracle,ratio,bound,within_bound,ratio_decimal"
         lines = [header]
@@ -336,6 +349,8 @@ def parse_fraction_or_none(text: str | None) -> Fraction | None:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in bound {text!r}") from None
+    except ValueError:
+        raise ValueError(f"--bound must be a rational, got {text!r}") from None
 
 
 def cmd_profile_lambda(args: argparse.Namespace) -> int:
@@ -359,7 +374,7 @@ def cmd_profile_lambda(args: argparse.Namespace) -> int:
         else [rational_str(x) for x in profile.rho_parts],
         "exceeds_k_minus_1": profile.flat_tail,
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(canonical_json(doc) + "\n", args.out)
     return 0
 
 
@@ -383,7 +398,10 @@ def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it
+    (parsing keeps no state in the parser)."""
     parser = _Parser(prog="bxmech", description=__doc__)
     _add_global_flags(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,15 +15,26 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
+def parse_int(text: str, name: str) -> int:
+    """Parse an integer; ``name`` says what the text is in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
+def parse_rational(text: str, name: str = "rational value") -> Fraction:
+    """Parse "p/q" or "p" into an exact rational; ``name`` says what the text
+    is in the error."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, sep, den = text.partition("/")
+    try:
+        q = int(den) if sep else 1
+        if q != 0:
+            return Fraction(int(num), q)
+    except ValueError:
+        raise ValueError(f"{name} must be p/q or an integer, got {text!r}") from None
+    raise ValueError(f"zero denominator in {text!r}")
 
 
 def rational_str(value: Fraction) -> str:
@@ -146,9 +157,12 @@ class WishListVector:
             raise ValueError("need at least one agent")
         if len(self.wish) != self.n:
             raise ValueError(f"expected {self.n} wish lists, got {len(self.wish)}")
-        normal = tuple(frozenset(w) for w in self.wish)
+        normal = tuple(map(frozenset, self.wish))
         object.__setattr__(self, "wish", normal)
+        agents = frozenset(range(1, self.n + 1))
         for i, w in enumerate(normal, start=1):
+            if w <= agents and i not in w:
+                continue
             if i in w:
                 raise ValueError(f"agent {i} wishes for her own item")
             for j in w:
@@ -191,12 +205,14 @@ class TradingCycle:
             raise ValueError("a trading cycle involves at least two agents")
         if len(set(agents)) != len(agents):
             raise ValueError(f"repeated agent in cycle {agents}")
-        if any(a < 1 for a in agents):
+        low = min(agents)
+        if low < 1:
             raise ValueError("agent ids are positive")
-        pivot = agents.index(min(agents))
-        canonical = agents[pivot:] + agents[:pivot]
-        object.__setattr__(self, "agents", canonical)
-        object.__setattr__(self, "_hash", hash((canonical,)))
+        if agents[0] != low:
+            pivot = agents.index(low)
+            agents = agents[pivot:] + agents[:pivot]
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "_hash", hash((agents,)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -204,10 +220,6 @@ class TradingCycle:
     @property
     def length(self) -> int:
         return len(self.agents)
-
-    @property
-    def agent_set(self) -> frozenset[int]:
-        return frozenset(self.agents)
 
     def successor(self, agent: int) -> int:
         idx = self.agents.index(agent)

@@ -8,8 +8,8 @@ sets correspond to welfare-optimal exchanges.  Weights are exact: the graph
 stores each node weight, and each lambda value, as an integer multiple of
 ``1 / scale``, where ``scale`` is the least common multiple of lambda's
 denominators, so the inner loops of the solvers and the fuzzers add and
-compare plain ints; ``weight``, ``node_weight`` and ``weight_of_mask``
-return ``Fraction``s.
+compare plain ints; ``weight`` and ``weight_of_mask`` return
+``Fraction``s.
 
 The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
@@ -178,10 +178,6 @@ class CycleGraph:
         if r is None or not (self._alive >> r) & 1:
             raise KeyError(f"unknown node {node}")
         return r
-
-    def node_weight(self, node: TradingCycle) -> Fraction:
-        t = self._tables
-        return Fraction(t.weights[self.rank(node)], t.scale)
 
     def weight(self, nodes: Iterable[TradingCycle]) -> Fraction:
         t = self._tables

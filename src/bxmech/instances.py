@@ -31,6 +31,7 @@ from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
 
+from .canonical import canonical_json
 from .core import (
     LengthFunction,
     TradingCycle,
@@ -553,7 +554,7 @@ def bundle_to_json_dict(bundle: InstanceBundle) -> dict:
 
 
 def bundle_to_text(bundle: InstanceBundle) -> str:
-    return json.dumps(bundle_to_json_dict(bundle), sort_keys=True, indent=2) + "\n"
+    return canonical_json(bundle_to_json_dict(bundle)) + "\n"
 
 
 def save_instance(bundle: InstanceBundle, path: str | Path) -> None:
@@ -573,11 +574,15 @@ def _int_field(doc: Mapping, key: str) -> int:
     return value
 
 
+_INT = {int}
+
+
 def _int_lists_field(doc: Mapping, key: str) -> list[list[int]] | None:
     rows = doc.get(key)
     if rows is not None and not (
         isinstance(rows, list)
-        and all(isinstance(row, list) and all(map(_is_int, row)) for row in rows)
+        # one type test per row; bool, a subclass of int, is not int
+        and all(isinstance(row, list) and set(map(type, row)) <= _INT for row in rows)
     ):
         raise ValueError(f"instance field {key!r} must be a list of integer lists")
     return rows
@@ -597,13 +602,15 @@ def bundle_from_json_dict(doc: Mapping) -> InstanceBundle:
     values = doc.get("lambda")
     if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
         raise ValueError("instance field 'lambda' must be a list of rational strings")
-    lam = LengthFunction(k=k, values=tuple(parse_rational(v) for v in values))
+    lam = LengthFunction(
+        k=k, values=tuple(parse_rational(v, "lambda value") for v in values)
+    )
     wishes = None
     rows = _int_lists_field(doc, "wishes")
     if rows is not None:
         if len(rows) != n:
             raise ValueError(f"expected {n} wish lists, got {len(rows)}")
-        wishes = WishListVector.from_dict(n, {i + 1: rows[i] for i in range(n)})
+        wishes = WishListVector(n=n, wish=tuple(map(frozenset, rows)))
     direct = None
     rows = _int_lists_field(doc, "direct_nodes")
     if rows is not None:

@@ -44,7 +44,7 @@ from functools import cache, reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .core import LengthFunction, cycle_sort_key, parse_rational
+from .core import LengthFunction, cycle_sort_key, parse_int, parse_rational
 # build_graph and enumerate_cycles are unused here, but bxbench/tracer.py
 # wraps them at every module that imports them, this one included
 from .cyclegraph import (  # noqa: F401
@@ -436,7 +436,9 @@ def parse_mechanism(
         base = parse_mechanism(remainder[5:], node_cap)
         if "zeta" in base.params:
             raise ValueError("randomized wrapper cannot wrap itself")
-        return randomized_mechanism(base, parse_rational(zeta_text), seed)
+        return randomized_mechanism(
+            base, parse_rational(zeta_text, "parameter zeta"), seed
+        )
     raise ValueError(f"unknown mechanism spec {spec!r}")
 
 
@@ -447,7 +449,7 @@ def _int_param(text: str, key: str) -> int:
     value = text[len(prefix):]
     if value == "*":
         raise ValueError(f"wildcard {key}=* is only meaningful inside sweep")
-    return int(value)
+    return parse_int(value, f"parameter {key}")
 
 
 def catalog(

@@ -1,11 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bxmech
 import bxmech.cli
-from bxmech.cli import build_generator_spec, expand_generator_family, main
+from bxmech.cli import build_generator_spec, build_parser, expand_generator_family, main
 from bxmech.instances import gen_ladder, gen_random, save_instance
 
 
@@ -189,6 +198,24 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(path), "greedy")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("nu:q=x", "parameter q must be an integer, got 'x'"),
+            ("nu:q=", "parameter q must be an integer, got ''"),
+            (
+                "rand:zeta=x:base=greedy",
+                "parameter zeta must be p/q or an integer, got 'x'",
+            ),
+        ],
+    )
+    def test_bad_parameter_value_exits_one(self, tmp_path, capsys, spec, message):
+        path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1,lambda=1,9/10")
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", str(path), spec)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_file_exits_one(self, capsys):
         assert run(capsys, "solve", "/nonexistent.json", "greedy")[0] == 1
@@ -384,6 +411,106 @@ class TestDeterminism:
             )
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+
+def fresh_process_stdout(*argv):
+    src = Path(bxmech.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "bxmech", *argv],
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    return done.stdout
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("spec", ["nu:q=1", "rand:zeta=1/3:base=greedy"])
+    def test_second_call_reads_no_flag_of_the_first(self, tmp_path, capsys, spec):
+        path = gen_file(tmp_path, "rand:n=8,p=0.5,seed=4,lambda=1,9/10")
+        first = tmp_path / "a.json"
+        assert main(["solve", str(path), spec, "--seed", "8", "--out", str(first)]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", str(path), spec)
+        # no --out and no --seed: stdout, at the default seed 0
+        assert code == 0 and err == ""
+        fresh = fresh_process_stdout("solve", str(path), spec)
+        assert out.encode() == fresh
+        if spec.startswith("rand:"):
+            assert first.read_bytes() != fresh  # the seed shows in this output
+
+
+# malformed input: every part drawn from texts that are wrong, or right but
+# small, so that no drawn instance is large
+TEXTS = ["", "x", "-1", "0", "1", "2", "3", "1/2", "1/0", "x/2", "1..2", "2..1",
+         "*", "1.5", "nan", " ", "="]
+MECH_SPECS = st.builds(
+    lambda head, value, tail: head + value + tail,
+    st.sampled_from(["", "greedy", "io", "ls:", "nu:", "opt:", "ls:q=", "nu:q=",
+                     "opt:l=", "rand:", "rand:zeta=", "bogus:q="]),
+    st.sampled_from(TEXTS),
+    st.sampled_from(["", ":base=greedy", ":base=", ":base=nu:q=x",
+                     ":base=rand:zeta=1/2:base=greedy", "=*", ":"]),
+)
+GEN_SPECS = st.builds(
+    lambda family, sep, tokens: family + sep + ",".join(tokens),
+    st.sampled_from(["comb", "dcomb", "gbad", "fan", "ladder", "nonrealizable",
+                     "rand", "mystery", ""]),
+    st.sampled_from([":", ""]),
+    st.lists(
+        st.one_of(
+            st.builds(
+                lambda key, value: f"{key}={value}",
+                st.sampled_from(["h", "v", "k", "q", "N", "n", "p", "seed",
+                                 "lambda", ""]),
+                st.sampled_from(TEXTS),
+            ),
+            st.sampled_from(TEXTS),
+        ),
+        max_size=4,
+    ),
+)
+FLAGS = st.lists(
+    st.tuples(st.sampled_from(["--seed", "--oracle-cap", "--budget"]),
+              st.sampled_from(TEXTS)),
+    max_size=2,
+).map(lambda pairs: [part for pair in pairs for part in pair])
+
+
+@pytest.fixture(scope="module")
+def six_agent_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bx") / "six.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gen", "rand:n=6,k=3,p=0.4,seed=2", "--out", str(path)]) == 0
+    return str(path)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_malformed_input_gets_a_clean_error(six_agent_file, data):
+    command = data.draw(
+        st.sampled_from(["solve", "fuzz", "gen", "sweep", "profile-lambda"])
+    )
+    if command in ("solve", "fuzz"):
+        argv = [command, six_agent_file, data.draw(MECH_SPECS)]
+    elif command == "gen":
+        argv = [command, data.draw(GEN_SPECS)]
+    elif command == "sweep":
+        argv = [command, data.draw(GEN_SPECS), data.draw(MECH_SPECS)]
+    else:
+        argv = [command, data.draw(GEN_SPECS).partition(":")[2]]
+    argv += data.draw(FLAGS)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
+        assert "invalid literal" not in err.getvalue(), argv
 
 
 class TestSpecHelpers:

@@ -103,7 +103,7 @@ def test_weights_and_sets():
     lam = LengthFunction.of(3, "1", "9/10")
     v = TradingCycle((1, 2, 3))
     g = build_graph([v], 3, lam)
-    assert g.node_weight(v) == Fraction(27, 10)
+    assert g.weight([v]) == Fraction(27, 10)
     assert g.weight([]) == 0
     assert g.is_independent(frozenset())
 
@@ -132,7 +132,7 @@ def test_weights_are_fractions_at_the_api(values, seed, data):
         for total in (graph.weight(chosen), graph.weight_of_mask(mask)):
             assert isinstance(total, Fraction) and total == expect
         for v in chosen:
-            weight = graph.node_weight(v)
+            weight = graph.weight([v])
             assert isinstance(weight, Fraction) and weight == v.length * lam(v.length)
 
 
@@ -230,7 +230,7 @@ def test_restriction_is_a_view_of_the_shared_build(seed, data):
 
         for v in view.nodes:
             assert view.neighbors(v) == fresh.neighbors(v)
-            assert view.node_weight(v) == fresh.node_weight(v)
+            assert view.weight([v]) == fresh.weight([v])
         for a in range(1, view.n + 1):
             assert translated(view.agent_mask(a)) == fresh.agent_mask(a)
         for ell in range(2, 5):

@@ -94,7 +94,7 @@ class TestDoubleComb:
 
     def test_horizontal_cycles_share_one_agent(self):
         c_l, c_r = double_comb_left_cycle(3), double_comb_right_cycle(3)
-        assert c_l.agent_set & c_r.agent_set == {3}
+        assert set(c_l.agents) & set(c_r.agents) == {3}
 
     def test_benchmark_exchanges_verified(self):
         bundle = gen_double_comb(2, 3, 3, FLAT3)
@@ -103,7 +103,7 @@ class TestDoubleComb:
         assert g.weight(verticals) == expected_value(bundle, "all_vertical_welfare")
         # mixed benchmark: right horizontal + the leftmost verticals
         c_r = double_comb_right_cycle(2)
-        left_verticals = [v for v in verticals if 1 in v.agent_set]
+        left_verticals = [v for v in verticals if 1 in set(v.agents)]
         mixed = left_verticals + [c_r]
         assert g.is_independent(mixed)
         assert g.weight(mixed) == expected_value(bundle, "mixed_welfare")
@@ -325,8 +325,8 @@ class TestSerialization:
         assert loaded == bundle
         graph, again = bundle.graph(), loaded.graph()
         assert again.nodes == graph.nodes
-        assert [again.node_weight(v) for v in again.nodes] == [
-            graph.node_weight(v) for v in graph.nodes
+        assert [again.weight([v]) for v in again.nodes] == [
+            graph.weight([v]) for v in graph.nodes
         ]
         assert again == graph
         for mech in catalog():
@@ -350,6 +350,26 @@ class TestSerialization:
         doc["wishes"] = [[] for _ in range(15)]
         with pytest.raises(ValueError):
             bundle_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (True, "instance field 'wishes' must be a list of integer lists"),
+            (1.0, "instance field 'wishes' must be a list of integer lists"),
+            ("2", "instance field 'wishes' must be a list of integer lists"),
+            (None, "instance field 'wishes' must be a list of integer lists"),
+            (0, "agent 3 wishes for unknown agent 0"),
+            (7, "agent 3 wishes for unknown agent 7"),
+            (3, "agent 3 wishes for her own item"),
+        ],
+    )
+    def test_rejects_bad_wish_entries(self, entry, message):
+        # agent 3 of six gets one bad entry after its valid ones
+        doc = bundle_to_json_dict(gen_random(6, 3, 0.5, 4))
+        doc["wishes"][2] = doc["wishes"][2] + [entry]
+        with pytest.raises(ValueError) as caught:
+            bundle_from_json_dict(doc)
+        assert str(caught.value) == message
 
     def test_rationals_serialized_as_fractions(self):
         text = bundle_to_text(gen_comb(2, 3, 3, FLAT3))

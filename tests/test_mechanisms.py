@@ -427,7 +427,7 @@ def test_restricted_graph_matches_rebuilt_graph(case, seed, data):
         assert view.num_nodes == rebuilt.num_nodes
         for v in view.nodes:
             assert view.neighbors(v) == rebuilt.neighbors(v)
-            assert view.node_weight(v) == rebuilt.node_weight(v)
+            assert view.weight([v]) == rebuilt.weight([v])
         for agent in range(1, graph.n + 1):
             assert view.nodes_of(view.agent_mask(agent)) == rebuilt.nodes_of(
                 rebuilt.agent_mask(agent)

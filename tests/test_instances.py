@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -336,8 +337,25 @@ class TestSerialization:
         for bundle, name in [
             (gen_gbad(1), "gbad-q1.json"),
             (gen_comb(2, 3, 3, FLAT3), "comb-h2-v3.json"),
+            (
+                gen_double_comb(3, 4, 4, LengthFunction.of(4, "1", "1", "3/4")),
+                "dcomb-h3-v4.json",
+            ),
+            (gen_fan(4), "fan-k4.json"),
+            (gen_ladder(3, 1), "ladder-k3-N1.json"),
         ]:
             assert bundle_to_text(bundle) == (GOLDEN / name).read_text()
+        # each deviation script step rewrites one black agent's wish list
+        for script, name, deviations in [
+            (comb_script(2, 3), "comb-h2-v3.json", [{1: [2]}, {2: [1]}]),
+            (double_comb_script(3, 4), "dcomb-h3-v4.json", [{4: [5]}, {5: [3]}]),
+        ]:
+            rows = json.loads((GOLDEN / name).read_text())["wishes"]
+            assert len(script) == len(deviations) + 1
+            for step, deviation in zip(script, [{}] + deviations):
+                for agent, wish in deviation.items():
+                    rows[agent - 1] = wish
+                assert [sorted(step.of(i)) for i in range(1, step.n + 1)] == rows
 
     def test_rejects_unknown_format(self):
         doc = bundle_to_json_dict(gen_gbad(1))

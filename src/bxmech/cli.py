@@ -288,7 +288,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    override_bound = parse_fraction_or_none(args.bound)
+    override_bound = None if args.bound is None else parse_rational(args.bound, "--bound")
     rows: list[dict] = []
     violation = False
     for gen_spec in expand_generator_family(args.family):
@@ -340,17 +340,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 2 if violation else 0
-
-
-def parse_fraction_or_none(text: str | None) -> Fraction | None:
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in bound {text!r}") from None
-    except ValueError:
-        raise ValueError(f"--bound must be a rational, got {text!r}") from None
 
 
 def cmd_profile_lambda(args: argparse.Namespace) -> int:

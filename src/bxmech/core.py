@@ -166,7 +166,7 @@ class WishListVector:
             if i in w:
                 raise ValueError(f"agent {i} wishes for her own item")
             for j in w:
-                if not 1 <= j <= self.n:
+                if j not in agents:
                     raise ValueError(f"agent {i} wishes for unknown agent {j}")
 
     @classmethod

@@ -8,8 +8,7 @@ sets correspond to welfare-optimal exchanges.  Weights are exact: the graph
 stores each node weight, and each lambda value, as an integer multiple of
 ``1 / scale``, where ``scale`` is the least common multiple of lambda's
 denominators, so the inner loops of the solvers and the fuzzers add and
-compare plain ints; ``weight`` and ``weight_of_mask`` return
-``Fraction``s.
+compare plain ints; ``weight`` returns a ``Fraction``.
 
 The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
@@ -203,10 +202,6 @@ class CycleGraph:
 
     def set_of(self, mask: int) -> IndependentSet:
         return frozenset(self.nodes_of(mask))
-
-    def weight_of_mask(self, mask: int) -> Fraction:
-        t = self._tables
-        return Fraction(sum(t.weights[i] for i in bits(mask)), t.scale)
 
     def neighbors(self, node: TradingCycle) -> IndependentSet:
         return self.set_of(self._tables.adj[self.rank(node)] & self._alive)

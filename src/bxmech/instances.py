@@ -18,6 +18,9 @@ harness:
   wish-list vector.
 * ``rand``: seeded Bernoulli agent digraphs.
 
+The wish lists of the comb, double comb, fan and ladder are the arcs of
+their trading cycles, through :func:`implied_wishes`.
+
 Instances serialize to canonical JSON (sorted keys, rationals as "p/q"
 strings, never floats), so generated fixtures are byte-reproducible.
 """
@@ -95,21 +98,41 @@ def _expect(**entries: tuple[object, str]) -> dict[str, dict[str, str]]:
     return out
 
 
+def implied_wishes(nodes: Sequence[TradingCycle], n: int) -> WishListVector:
+    """The minimal wish-list vector under which every node cycle respects
+    the wishes: exactly the arcs the cyclic orders force."""
+    wishes: dict[int, set[int]] = {}
+    for node in nodes:
+        for a, b in node.arcs():
+            wishes.setdefault(a, set()).add(b)
+    return WishListVector.from_dict(n, wishes)
+
+
 # ---------------------------------------------------------------------------
 # comb family
 
 
+def _verticals(blacks: int, v: int) -> list[TradingCycle]:
+    """Each black agent 1..blacks on its own v-cycle through v-1 white
+    agents, numbered column by column after the blacks."""
+    first = blacks + 1
+    return [
+        TradingCycle((b, *range(first + (b - 1) * (v - 1), first + b * (v - 1))))
+        for b in range(1, blacks + 1)
+    ]
+
+
+def _check_comb(h: int, v: int, k: int, lam: LengthFunction) -> None:
+    if not 2 <= h < v <= k:
+        raise ValueError(f"need 2 <= h < v <= k, got h={h} v={v} k={k}")
+    if lam.k != k:
+        raise ValueError("length function bound disagrees with k")
+    if not lam(v) < lam(h):
+        raise ValueError(f"need lambda({v}) < lambda({h})")
+
+
 def _comb_wishes(h: int, v: int) -> WishListVector:
-    n = h * v
-    wishes: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for i in range(1, h + 1):
-        wishes[i].add(i % h + 1)
-        column = [h + (i - 1) * (v - 1) + t for t in range(1, v)]
-        wishes[i].add(column[0])
-        for a, b in zip(column, column[1:]):
-            wishes[a].add(b)
-        wishes[column[-1]].add(i)
-    return WishListVector.from_dict(n, wishes)
+    return implied_wishes([comb_horizontal_cycle(h)] + _verticals(h, v), h * v)
 
 
 def comb_horizontal_cycle(h: int) -> TradingCycle:
@@ -119,12 +142,7 @@ def comb_horizontal_cycle(h: int) -> TradingCycle:
 def gen_comb(h: int, v: int, k: int, lam: LengthFunction) -> InstanceBundle:
     """h black agents on one horizontal h-cycle, each also on a private
     vertical v-cycle through v-1 white agents."""
-    if not 2 <= h < v <= k:
-        raise ValueError(f"need 2 <= h < v <= k, got h={h} v={v} k={k}")
-    if lam.k != k:
-        raise ValueError("length function bound disagrees with k")
-    if not lam(v) < lam(h):
-        raise ValueError(f"need lambda({v}) < lambda({h})")
+    _check_comb(h, v, k, lam)
     wishes = _comb_wishes(h, v)
     expected = _expect(
         horizontal_welfare=(Fraction(h) * lam(h), "h * lambda(h)"),
@@ -158,27 +176,11 @@ def comb_script(h: int, v: int) -> list[WishListVector]:
 
 
 def _double_comb_wishes(h: int, v: int) -> WishListVector:
-    blacks = 2 * h - 1  # l_1..l_h are 1..h, r_1..r_{h-1} are h+1..2h-1
-    n = blacks * v
-    wishes: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for i in range(1, h):
-        wishes[i].add(i + 1)  # l_i -> l_{i+1}
-    wishes[h].add(1)  # l_h -> l_1
-    wishes[h].add(h + 1)  # l_h -> r_1
-    for i in range(1, h - 1):
-        wishes[h + i].add(h + i + 1)  # r_i -> r_{i+1}
-    wishes[2 * h - 1].add(h)  # r_{h-1} -> l_h
-    for black in range(1, blacks + 1):
-        column = [blacks + (black - 1) * (v - 1) + t for t in range(1, v)]
-        wishes[black].add(column[0])
-        for a, b in zip(column, column[1:]):
-            wishes[a].add(b)
-        wishes[column[-1]].add(black)
-    return WishListVector.from_dict(n, wishes)
-
-
-def double_comb_left_cycle(h: int) -> TradingCycle:
-    return TradingCycle(tuple(range(1, h + 1)))
+    # l_1..l_h are 1..h, r_1..r_{h-1} are h+1..2h-1; the left cycle is the
+    # comb's horizontal one
+    blacks = 2 * h - 1
+    cycles = [comb_horizontal_cycle(h), double_comb_right_cycle(h)]
+    return implied_wishes(cycles + _verticals(blacks, v), blacks * v)
 
 
 def double_comb_right_cycle(h: int) -> TradingCycle:
@@ -188,12 +190,7 @@ def double_comb_right_cycle(h: int) -> TradingCycle:
 def gen_double_comb(h: int, v: int, k: int, lam: LengthFunction) -> InstanceBundle:
     """Two horizontal h-cycles sharing one black agent, every black agent
     also on a private vertical v-cycle."""
-    if not 2 <= h < v <= k:
-        raise ValueError(f"need 2 <= h < v <= k, got h={h} v={v} k={k}")
-    if lam.k != k:
-        raise ValueError("length function bound disagrees with k")
-    if not lam(v) < lam(h):
-        raise ValueError(f"need lambda({v}) < lambda({h})")
+    _check_comb(h, v, k, lam)
     wishes = _double_comb_wishes(h, v)
     expected = _expect(
         all_vertical_welfare=(
@@ -300,34 +297,19 @@ def gbad_red_set(q: int) -> frozenset[TradingCycle]:
 # fan and ladder (all cycles of length exactly k, injected node order)
 
 
-def _fan_parts(k: int, first_agent: int) -> tuple[list[TradingCycle], dict[int, set[int]], int]:
-    """Pin cycle plus k-1 teeth; returns (cycles, arcs, next free agent id).
+def _fan_parts(k: int) -> tuple[list[TradingCycle], int]:
+    """Pin cycle plus k-1 teeth; returns (cycles, next free agent id).
 
-    The pivot is ``first_agent``; tooth anchors are the next k-1 ids and sit
-    on both the pin cycle and their own tooth.
+    The pivot is agent 1; tooth anchors are agents 2..k and sit on both the
+    pin cycle and their own tooth.
     """
-    pivot = first_agent
-    anchors = [first_agent + j for j in range(1, k)]
-    arcs: dict[int, set[int]] = {}
-
-    def arc(a: int, b: int) -> None:
-        arcs.setdefault(a, set()).add(b)
-
-    pin = [pivot] + anchors
-    for a, b in zip(pin, pin[1:]):
-        arc(a, b)
-    arc(pin[-1], pin[0])
-    cycles = [TradingCycle(tuple(pin))]
-    nxt = first_agent + k
+    anchors = range(2, k + 1)
+    cycles = [TradingCycle((1, *anchors))]
+    nxt = k + 1
     for anchor in anchors:
-        interior = list(range(nxt, nxt + k - 1))
+        cycles.append(TradingCycle((anchor, *range(nxt, nxt + k - 1))))
         nxt += k - 1
-        tooth = [anchor] + interior
-        for a, b in zip(tooth, tooth[1:]):
-            arc(a, b)
-        arc(tooth[-1], tooth[0])
-        cycles.append(TradingCycle(tuple(tooth)))
-    return cycles, arcs, nxt
+    return cycles, nxt
 
 
 def gen_fan(k: int, lam: LengthFunction | None = None) -> InstanceBundle:
@@ -341,9 +323,9 @@ def gen_fan(k: int, lam: LengthFunction | None = None) -> InstanceBundle:
     lam = lam or LengthFunction.uniform(k)
     if lam.k != k:
         raise ValueError("length function bound disagrees with k")
-    cycles, arcs, nxt = _fan_parts(k, 1)
+    cycles, nxt = _fan_parts(k)
     n = nxt - 1
-    wishes = WishListVector.from_dict(n, arcs)
+    wishes = implied_wishes(cycles, n)
     expected = _expect(
         agents=(n, "k(k-1)+1"),
         cycle_count=(k, "pin + (k-1) teeth"),
@@ -381,49 +363,15 @@ def gen_ladder(k: int, big_n: int, lam: LengthFunction | None = None) -> Instanc
     lam = lam or LengthFunction.uniform(k)
     if lam.k != k:
         raise ValueError("length function bound disagrees with k")
-    fan_cycles, arcs, nxt = _fan_parts(k, 1)
-
-    def arc(a: int, b: int) -> None:
-        arcs.setdefault(a, set()).add(b)
-
-    rows: list[list[int]] = []
+    order, nxt = _fan_parts(k)
     row_len = 2 * big_n * (k - 1) + 1
-    for _ in range(k - 1):
-        row = list(range(nxt, nxt + row_len))
-        nxt += row_len
-        rows.append(row)
-    right_anchor_own = nxt
-    nxt += 1
-
-    left_anchor = [1] + [row[0] for row in rows]
-    for a, b in zip(left_anchor, left_anchor[1:]):
-        arc(a, b)
-    arc(left_anchor[-1], left_anchor[0])
-    b_cycle = TradingCycle(tuple(left_anchor))
-
-    block_cycles: list[list[TradingCycle]] = []  # one list per corridor block
-    for m in range(2 * big_n):
-        block = []
-        for row in rows:
-            seg = row[m * (k - 1) : m * (k - 1) + k]
-            for a, b in zip(seg, seg[1:]):
-                arc(a, b)
-            arc(seg[-1], seg[0])
-            block.append(TradingCycle(tuple(seg)))
-        block_cycles.append(block)
-
-    right_anchor = [right_anchor_own] + [row[-1] for row in rows]
-    for a, b in zip(right_anchor, right_anchor[1:]):
-        arc(a, b)
-    arc(right_anchor[-1], right_anchor[0])
-    a_cycle = TradingCycle(tuple(right_anchor))
-
-    n = nxt - 1
-    wishes = WishListVector.from_dict(n, arcs)
-    order = list(fan_cycles) + [b_cycle]
-    for block in block_cycles:
-        order.extend(block)
-    order.append(a_cycle)
+    rows = [range(nxt + r * row_len, nxt + (r + 1) * row_len) for r in range(k - 1)]
+    n = nxt + (k - 1) * row_len  # the right anchor's own agent comes last
+    order.append(TradingCycle((1, *(row[0] for row in rows))))  # b
+    for m in range(0, row_len - 1, k - 1):  # corridor blocks, left to right
+        order.extend(TradingCycle(tuple(row[m : m + k])) for row in rows)
+    order.append(TradingCycle((n, *(row[-1] for row in rows))))  # a
+    wishes = implied_wishes(order, n)
     expected = _expect(
         agents=(n, "(k-1)(k+1+2N(k-1))+2"),
         cycle_count=(k + 2 + 2 * big_n * (k - 1), "pin+teeth+anchors+corridor"),
@@ -461,16 +409,6 @@ def gen_nonrealizable() -> InstanceBundle:
         direct_nodes=nodes,
         expected=_expect(realizable=(0, "implied arcs force cycle (1,2,3)")),
     )
-
-
-def implied_wishes(nodes: Sequence[TradingCycle], n: int) -> WishListVector:
-    """The minimal wish-list vector under which every node cycle respects
-    the wishes: exactly the arcs the cyclic orders force."""
-    wishes: dict[int, set[int]] = {}
-    for node in nodes:
-        for a, b in node.arcs():
-            wishes.setdefault(a, set()).add(b)
-    return WishListVector.from_dict(n, wishes)
 
 
 def is_wishlist_realizable(

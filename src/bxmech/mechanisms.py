@@ -220,8 +220,8 @@ def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
 class Mechanism:
     """A named solver plus its advertised guarantee.
 
-    ``solver`` returns a node mask.  ``run`` returns the solver's set of
-    cycles as it is; ``solve`` first re-checks that it is independent.
+    ``solver`` returns a node mask.  ``solve`` (alias ``run``) re-checks
+    that the mask is independent and returns its set of cycles.
     """
 
     name: str
@@ -230,11 +230,6 @@ class Mechanism:
     solver: Solver
     _bound: Callable[[LengthFunction], Fraction | None] = lambda lam: None
 
-    def run(
-        self, graph: CycleGraph, stats: SearchStats | None = None
-    ) -> IndependentSet:
-        return graph.set_of(self.solver(graph, stats))
-
     def solve(
         self, graph: CycleGraph, stats: SearchStats | None = None
     ) -> IndependentSet:
@@ -242,6 +237,8 @@ class Mechanism:
         if not graph.is_independent_mask(result):
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
         return graph.set_of(result)
+
+    run = solve
 
     def claimed_bound(self, lam: LengthFunction) -> Fraction | None:
         return self._bound(lam)

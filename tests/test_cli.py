@@ -290,17 +290,21 @@ class TestSweep:
         assert ratios == ["5/2", "7/3", "9/4", "11/5"]
 
     def test_impossible_bound_fails(self, capsys):
-        code, out, _ = run(capsys, "sweep", "gbad:q=1..2", "ls:q=*", "--bound", "1.0")
+        code, out, _ = run(capsys, "sweep", "gbad:q=1..2", "ls:q=*", "--bound", "1")
         assert code == 2
         assert ",false," in out
 
     def test_bound_with_zero_denominator_exits_one(self, capsys):
-        code, out, err = run(capsys, "sweep", "rand:n=5", "greedy", "--bound", "1/0")
-        assert code == 1 and out == ""
-        assert err == "error: zero denominator in bound '1/0'\n"
-        for bound in ("5/2", "2.5"):
-            code, out, _ = run(capsys, "sweep", "gbad:q=1", "ls:q=*", "--bound", bound)
-            assert code == 0 and out.splitlines()[1].split(",")[5] == "5/2"
+        for bound, message in [
+            ("1/0", "zero denominator in '1/0'"),
+            # --bound is p/q like every other rational on the command line
+            ("0.5", "--bound must be p/q or an integer, got '0.5'"),
+        ]:
+            code, out, err = run(capsys, "sweep", "rand:n=5", "greedy", "--bound", bound)
+            assert code == 1 and out == ""
+            assert err == f"error: {message}\n"
+        code, out, _ = run(capsys, "sweep", "gbad:q=1", "ls:q=*", "--bound", "5/2")
+        assert code == 0 and out.splitlines()[1].split(",")[5] == "5/2"
 
     def test_oracle_over_cap_exits_one(self, capsys):
         code, out, err = run(

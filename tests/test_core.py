@@ -130,6 +130,20 @@ def test_respects_examples():
     assert not respects(Exchange.of((1, 2)), w2)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (2.5, "agent 1 wishes for unknown agent 2.5"),
+        ("2", "agent 1 wishes for unknown agent 2"),
+    ],
+)
+def test_wish_list_rejects_an_id_that_is_no_agent(bad, message):
+    # caught at construction, not later in cycle enumeration
+    with pytest.raises(ValueError) as err:
+        WishListVector.from_dict(3, {1: [bad], 2: [1]})
+    assert str(err.value) == message
+
+
 def test_respects_rejects_out_of_range_agents():
     w = WishListVector.from_dict(2, {1: {2}, 2: {1}})
     with pytest.raises(ValueError):

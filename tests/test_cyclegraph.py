@@ -129,7 +129,7 @@ def test_weights_are_fractions_at_the_api(values, seed, data):
         chosen = [v for v in picked if v in graph]
         expect = sum((v.length * lam(v.length) for v in chosen), start=Fraction(0))
         mask = graph.mask_of(chosen)
-        for total in (graph.weight(chosen), graph.weight_of_mask(mask)):
+        for total in (graph.weight(chosen), graph.weight(graph.nodes_of(mask))):
             assert isinstance(total, Fraction) and total == expect
         for v in chosen:
             weight = graph.weight([v])

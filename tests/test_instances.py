@@ -14,7 +14,6 @@ from bxmech.instances import (
     bundle_to_text,
     comb_horizontal_cycle,
     comb_script,
-    double_comb_left_cycle,
     double_comb_right_cycle,
     double_comb_script,
     gbad_blue_set,
@@ -94,7 +93,7 @@ class TestDoubleComb:
         assert g.num_nodes == 5  # 2 horizontal + 3 vertical
 
     def test_horizontal_cycles_share_one_agent(self):
-        c_l, c_r = double_comb_left_cycle(3), double_comb_right_cycle(3)
+        c_l, c_r = comb_horizontal_cycle(3), double_comb_right_cycle(3)
         assert set(c_l.agents) & set(c_r.agents) == {3}
 
     def test_benchmark_exchanges_verified(self):

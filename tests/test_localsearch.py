@@ -286,7 +286,7 @@ def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
     last = Fraction(0)
     served = frozenset()
     for step in trace.steps:
-        w = g.weight_of_mask(step.result)
+        w = g.weight(g.nodes_of(step.result))
         assert w > last
         last = w
         now = g.agents_of(g.nodes_of(step.result))

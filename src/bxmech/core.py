@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -146,7 +147,7 @@ class WishListVector:
     """Reported (or true) wish lists of all n agents; the agent digraph.
 
     ``wish[i - 1]`` is agent i's wish list.  No self-wishes; every listed id
-    lies in [1, n].
+    is an ``int`` in [1, n].
     """
 
     n: int
@@ -168,6 +169,15 @@ class WishListVector:
             for j in w:
                 if j not in agents:
                     raise ValueError(f"agent {i} wishes for unknown agent {j}")
+        # an id equal to an agent but of another type (2.0, True) passes the
+        # subset test; one pass over the ids' types catches it
+        if not set(map(type, chain.from_iterable(normal))) <= {int}:
+            for i, w in enumerate(normal, start=1):
+                for j in w:
+                    if type(j) is not int:
+                        raise ValueError(
+                            f"agent {i} wishes for {j!r}, which is not an int agent id"
+                        )
 
     @classmethod
     def from_dict(cls, n: int, wishes: Mapping[int, Iterable[int]]) -> "WishListVector":

@@ -20,8 +20,9 @@ cycles appear only at the API, through ``mask_of``, ``nodes_of`` and
 ``set_of``.
 
 :func:`build_graph` computes its tables once, in one :class:`GraphTables`:
-the nodes, ranks, adjacency, agent, length and value-class masks, the scaled
-weights and utilities, and the exact-solve memo.  A :class:`CycleGraph` is
+the nodes, ranks, adjacency, agent, length and value-class masks, each
+node's agents as a bitmask, the scaled weights and utilities, and the
+exact-solve memo.  A :class:`CycleGraph` is
 those shared tables plus a mask of alive nodes, so removing nodes rebuilds
 nothing: the restricted graph is the same tables with a smaller mask.
 """
@@ -93,7 +94,8 @@ class GraphTables:
     lambda(l) times ``scale``, both ints: ``scale`` is the least common
     multiple of lambda's denominators, so weights and utilities share one
     denominator.  ``class_mask[l]`` holds the nodes whose length has the
-    value lambda(l) (lengths 2..k).
+    value lambda(l) (lengths 2..k).  ``agent_bits[i]`` has bit a set for
+    each agent a of node i.
 
     ``solved`` memoises :func:`bxmech.exact.max_weight_independent_set`: it
     maps an alive node mask to the solver's answer mask.  It starts empty and
@@ -106,6 +108,7 @@ class GraphTables:
     rank: Mapping[TradingCycle, int]
     adj: tuple[int, ...]
     agent_mask: Mapping[int, int]
+    agent_bits: tuple[int, ...]
     length_mask: Mapping[int, int]
     class_mask: Mapping[int, int]
     weights: tuple[int, ...]
@@ -285,10 +288,14 @@ def build_graph(
             raise ValueError("node_order must be a permutation of the cycles")
     rank = {v: i for i, v in enumerate(ordered)}
     agent_mask: dict[int, int] = {}
+    agent_bits = []
     length_mask: dict[int, int] = {}
     for i, v in enumerate(ordered):
+        node_agents = 0
         for a in v.agents:
             agent_mask[a] = agent_mask.get(a, 0) | (1 << i)
+            node_agents |= 1 << a
+        agent_bits.append(node_agents)
         length_mask[v.length] = length_mask.get(v.length, 0) | (1 << i)
     adj = []
     for i, v in enumerate(ordered):
@@ -311,6 +318,7 @@ def build_graph(
         rank=rank,
         adj=tuple(adj),
         agent_mask=agent_mask,
+        agent_bits=tuple(agent_bits),
         length_mask=length_mask,
         class_mask=class_mask,
         weights=tuple(v.length * utility[v.length] for v in ordered),

@@ -1,12 +1,13 @@
 """Improvement rules and the local-search driver.
 
-An improvement rule maps (graph, independent set) to a strictly heavier
-independent set or to None when no candidate exists; both sets are node
-masks of the graph (bit i is node i).  A local-search algorithm is an
-ordered rule list: starting from the empty set, it always fires the
-lowest-index applicable rule and halts when every rule returns None.  Exact
-weights (the graph's scaled integers) make the strict-increase argument (and
-hence termination) airtight.
+An improvement rule maps (graph, independent set, the set's neighbourhood)
+to a strictly heavier independent set or to None when no candidate exists;
+all three are node masks of the graph (bit i is node i), the neighbourhood
+being N(current), the alive nodes adjacent to some member.  A local-search
+algorithm is an ordered rule list: starting from the empty set, it always
+fires the lowest-index applicable rule and halts when every rule returns
+None.  Exact weights (the graph's scaled integers) make the strict-increase
+argument (and hence termination) airtight.
 
 Two rule families are provided:
 
@@ -23,6 +24,12 @@ Two rule families are provided:
   agent which no remaining candidate serves is not extended.  So the search
   meets the passing X's in the same order as the full walk.
 
+The driver re-checks every result a rule returns, but only where it differs
+from the current set, which already passed: the nodes added must be alive
+and have no neighbour in the result, and the weight, the served agents and
+the neighbourhood are updated from the nodes added and removed.  An
+expansion step thus costs the one node it adds, not the whole set.
+
 Rules see the whole graph they are given; a search confined to some nodes
 runs on the graph with the others removed.  Solvers built from rule lists,
 and their concatenation, live in :mod:`bxmech.mechanisms`.
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .cyclegraph import CycleGraph, bits
+from .cyclegraph import CycleGraph
 
 
 class RuleContractError(RuntimeError):
@@ -44,14 +51,20 @@ class RuleContractError(RuntimeError):
 class ImprovementRule:
     name: str
     loyal: bool
-    _apply_fn: Callable[[CycleGraph, int], int | None]
+    _apply_fn: Callable[[CycleGraph, int, int], int | None]
 
-    def apply(self, graph: CycleGraph, current: int) -> int | None:
-        return self._apply_fn(graph, current)
+    def apply(
+        self, graph: CycleGraph, current: int, around: int | None = None
+    ) -> int | None:
+        """The rule's answer for ``current``; ``around`` is N(current),
+        computed here when not given."""
+        if around is None:
+            around = graph.neighborhood_mask(current)
+        return self._apply_fn(graph, current, around)
 
 
-def _expansion_apply(graph: CycleGraph, current: int) -> int | None:
-    candidates = graph._alive & ~(current | graph.neighborhood_mask(current))
+def _expansion_apply(graph: CycleGraph, current: int, around: int) -> int | None:
+    candidates = graph._alive & ~(current | around)
     if not candidates:
         return None
     return current | (candidates & -candidates)
@@ -64,26 +77,36 @@ def expansion_rule() -> ImprovementRule:
 
 def _agent_bits(graph: CycleGraph, mask: int) -> int:
     """Bitmask (bit a for agent a) of the agents of the nodes in ``mask``."""
-    nodes = graph._tables.nodes
+    table = graph._tables.agent_bits
     out = 0
     while mask:
         low = mask & -mask
-        for a in nodes[low.bit_length() - 1].agents:
-            out |= 1 << a
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _weight(weights: Sequence[int], mask: int) -> int:
+    """Scaled weight of the nodes in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out += weights[low.bit_length() - 1]
         mask ^= low
     return out
 
 
 def _all_for_q_apply_factory(
     q: int, require_loyalty: bool
-) -> Callable[[CycleGraph, int], int | None]:
-    def apply_fn(graph: CycleGraph, cur_mask: int) -> int | None:
+) -> Callable[[CycleGraph, int, int], int | None]:
+    def apply_fn(graph: CycleGraph, cur_mask: int, around: int) -> int | None:
         if not cur_mask:
             return None
-        pool = graph.neighborhood_mask(cur_mask) & ~cur_mask
+        pool = around & ~cur_mask
         tables = graph._tables
         adj = tables.adj
         weights = tables.weights
+        node_agents = tables.agent_bits
         # per usable pool node r: (the current nodes r evicts, their agents,
         # r's agents); a node that evicts more than q current nodes can be
         # in no candidate.  by_evicts indexes the usable pool nodes by the
@@ -99,7 +122,7 @@ def _all_for_q_apply_factory(
             if evicts.bit_count() > q:
                 pool ^= low
                 continue
-            info[r] = (evicts, _agent_bits(graph, evicts), _agent_bits(graph, low))
+            info[r] = (evicts, _agent_bits(graph, evicts), node_agents[r])
             by_evicts[evicts] = by_evicts.get(evicts, 0) | low
         if not pool:
             return None
@@ -190,10 +213,11 @@ def _all_for_q_apply_factory(
         if found is None:
             return None
         x_mask, evict_mask = found
-        best = (cur_mask & ~evict_mask) | x_mask
-        # sanity: the bookkeeping above can only produce heavier sets
-        assert sum(weights[i] for i in bits(best)) > sum(weights[i] for i in bits(cur_mask))
-        return best
+        # sanity: the bookkeeping above can only produce heavier sets; X
+        # lies outside the current set, so w(result) - w(current) is
+        # w(X) - w(evicted)
+        assert _weight(weights, x_mask) > _weight(weights, evict_mask)
+        return (cur_mask & ~evict_mask) | x_mask
 
     return apply_fn
 
@@ -276,33 +300,51 @@ def run_local_search(
 
     Every returned candidate is re-checked here: a rule that hands back a
     non-independent or non-heavier set aborts the run loudly instead of
-    corrupting the search state.
+    corrupting the search state.  The check looks only at what the rule
+    changed, which is exact because the current set already passed it: the
+    result is independent iff the nodes it adds are alive and none of them
+    is adjacent to a node of the result.  The current set's weight, served
+    agents and neighbourhood are carried along and updated from the nodes
+    added and removed.
     """
     if not rules:
         raise ValueError("need at least one improvement rule")
     weights = graph._tables.weights
-    current = current_weight = current_agents = 0
+    alive = graph._alive
+    current = current_weight = current_agents = around = 0
     steps: list[TraceStep] = []
     while True:
         fired = False
         for idx, rule in enumerate(rules):
-            result = rule.apply(graph, current)
+            result = rule.apply(graph, current, around)
             if result is None:
                 continue
-            if not graph.is_independent_mask(result):
+            added = result & ~current
+            # dead bits first: neighborhood_mask indexes its table by them
+            if added & ~alive or (
+                (added_around := graph.neighborhood_mask(added)) & result
+            ):
                 raise RuleContractError(
                     f"rule {rule.name} returned a dependent set"
                 )
-            new_weight = sum(weights[i] for i in bits(result))
+            removed = current & ~result
+            new_weight = (
+                current_weight + _weight(weights, added) - _weight(weights, removed)
+            )
             if new_weight <= current_weight:
                 raise RuleContractError(
                     f"rule {rule.name} returned a non-improving set"
                 )
-            new_agents = _agent_bits(graph, result)
+            new_agents = (
+                current_agents & ~_agent_bits(graph, removed)
+            ) | _agent_bits(graph, added)
             if rule.loyal and current_agents & ~new_agents:
                 raise RuleContractError(
                     f"rule {rule.name} is flagged loyal but dropped an agent"
                 )
+            around = (
+                graph.neighborhood_mask(result) if removed else around | added_around
+            )
             current, current_weight, current_agents = result, new_weight, new_agents
             steps.append(TraceStep(idx, rule.name, current))
             if stats is not None:
@@ -311,4 +353,3 @@ def run_local_search(
             break
         if not fired:
             return LocalSearchTrace(steps=tuple(steps), final=current)
-

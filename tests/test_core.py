@@ -144,6 +144,25 @@ def test_wish_list_rejects_an_id_that_is_no_agent(bad, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "wishes, message",
+    [
+        ({1: [2.0], 2: [1]}, "agent 1 wishes for 2.0, which is not an int agent id"),
+        ({1: [2], 2: [True]}, "agent 2 wishes for True, which is not an int agent id"),
+        (
+            {1: [2], 2: [1], 3: [Fraction(1)]},
+            "agent 3 wishes for Fraction(1, 1), which is not an int agent id",
+        ),
+    ],
+)
+def test_wish_list_rejects_an_id_equal_to_an_agent_but_no_int(wishes, message):
+    # such an id passes the subset test against the agents (2.0 == 2,
+    # True == 1) and would fail later, in cycle enumeration
+    with pytest.raises(ValueError) as err:
+        WishListVector.from_dict(3, wishes)
+    assert str(err.value) == message
+
+
 def test_respects_rejects_out_of_range_agents():
     w = WishListVector.from_dict(2, {1: {2}, 2: {1}})
     with pytest.raises(ValueError):

@@ -194,6 +194,17 @@ def test_lambda_tables_match_fraction_reference(k, seed, data):
                 graph.class_mask(ell)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 4]), st.data())
+def test_agent_bits_table_matches_each_node_and_is_shared(seed, k, data):
+    g = gen_random(8, k, 0.4, seed, lam=LengthFunction.uniform(k)).graph()
+    g = build_graph(g.nodes, 8, g.lam, node_order=data.draw(st.permutations(g.nodes)))
+    table = g._tables.agent_bits
+    assert table == tuple(sum(1 << a for a in v.agents) for v in g.nodes)
+    drop = data.draw(st.integers(0, (1 << g.num_nodes) - 1))
+    assert g.remove_nodes(drop)._tables.agent_bits is table
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.data())
 def test_restriction_is_a_view_of_the_shared_build(seed, data):

@@ -8,17 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle
-from bxmech.cyclegraph import build_graph
+from bxmech.cyclegraph import CycleGraph, bits, build_graph
 from bxmech.instances import gbad_blue_set, gen_gbad, gen_random
 from bxmech.localsearch import (
     ImprovementRule,
+    LocalSearchTrace,
     RuleContractError,
     SearchStats,
+    TraceStep,
     all_for_q_rule,
     expansion_rule,
     run_local_search,
 )
-from bxmech.mechanisms import concatenate, greedy_mechanism, greedy_phase
+from bxmech.mechanisms import (
+    concatenate,
+    greedy_mechanism,
+    greedy_phase,
+    greedy_solver,
+    lambda_profile,
+)
 
 UNIFORM3 = LengthFunction.uniform(3)
 
@@ -140,6 +148,9 @@ def reference_all_for_q(graph, current, q, require_loyalty=True):
     return best
 
 
+# arc densities giving 12 agents tens to a few hundred cycles
+DENSITIES = {3: [0.3, 0.45, 0.6], 4: [0.2, 0.3, 0.4]}
+
 # non-increasing length functions; the mixed denominators give the graph a
 # weight scale above 1
 LAMBDAS = {
@@ -241,19 +252,19 @@ class TestDriver:
         dependent = ImprovementRule(
             name="bad-dependent",
             loyal=False,
-            _apply_fn=lambda graph, cur: graph.mask_of(graph.nodes),
+            _apply_fn=lambda graph, cur, around: graph.mask_of(graph.nodes),
         )
         with pytest.raises(RuleContractError):
             run_local_search(g, [dependent])
         lighter = ImprovementRule(
             name="bad-lighter",
             loyal=False,
-            _apply_fn=lambda graph, cur: graph.mask_of([graph.nodes[0]]),
+            _apply_fn=lambda graph, cur, around: graph.mask_of([graph.nodes[0]]),
         )
         trace_rule_fires_then_stalls = ImprovementRule(
             name="stall",
             loyal=False,
-            _apply_fn=lambda graph, cur: None,
+            _apply_fn=lambda graph, cur, around: None,
         )
         with pytest.raises(RuleContractError):
             # second application returns the same single node: not heavier
@@ -267,15 +278,218 @@ class TestDriver:
         disloyal = ImprovementRule(
             name="bad-loyal",
             loyal=True,
-            _apply_fn=lambda graph, cur: graph.mask_of({triple}) if cur else None,
+            _apply_fn=lambda graph, cur, around: graph.mask_of({triple}) if cur else None,
         )
         seed = ImprovementRule(
             name="seed",
             loyal=False,
-            _apply_fn=lambda graph, cur: None if cur else graph.mask_of({pair}),
+            _apply_fn=lambda graph, cur, around: None if cur else graph.mask_of({pair}),
         )
         with pytest.raises(RuleContractError, match="dropped an agent"):
             run_local_search(g, [disloyal, seed])
+
+    def test_added_node_adjacent_to_a_kept_node_aborts(self):
+        # the added node is independent of the other added nodes, so only a
+        # check against the kept ones catches it
+        g = graph_of([(1, 2), (2, 3)], 3)
+        kept, clash = g.mask_of({TradingCycle((1, 2))}), g.mask_of({TradingCycle((2, 3))})
+        grow = ImprovementRule(
+            name="grow-into-neighbour",
+            loyal=True,
+            _apply_fn=lambda graph, cur, around: kept | clash if cur else kept,
+        )
+        with pytest.raises(RuleContractError, match="grow-into-neighbour returned a dependent set"):
+            run_local_search(g, [grow])
+
+    def test_added_dead_node_aborts(self):
+        # the dead node shares no agent with the result: only its being
+        # dead makes the result invalid
+        g = graph_of([(1, 2), (3, 4)], 4)
+        dead = g.mask_of({TradingCycle((3, 4))})
+        view = g.remove_nodes(dead)
+        revive = ImprovementRule(
+            name="revive",
+            loyal=True,
+            _apply_fn=lambda graph, cur, around: cur | dead if cur else graph._alive,
+        )
+        with pytest.raises(RuleContractError, match="revive returned a dependent set"):
+            run_local_search(view, [revive])
+
+    def test_lighter_swap_aborts(self):
+        # swapping a 3-cycle for a disjoint 2-cycle adds weight 2 and
+        # removes weight 3: a driver that forgets the removed nodes sees 5
+        triple, pair = TradingCycle((1, 2, 3)), TradingCycle((4, 5))
+        g = graph_of([(1, 2, 3), (4, 5)], 5)
+        heavy, light = g.mask_of({triple}), g.mask_of({pair})
+        shrink = ImprovementRule(
+            name="shrink",
+            loyal=False,
+            _apply_fn=lambda graph, cur, around: {0: heavy, heavy: light}.get(cur),
+        )
+        with pytest.raises(RuleContractError, match="shrink returned a non-improving set"):
+            run_local_search(g, [shrink])
+
+    def test_swap_that_drops_an_agent_frees_its_other_nodes(self):
+        # the non-loyal swap trades (1, 2) for (2, 3, 4) and drops agent 1,
+        # so (1, 5), a neighbour of the old set only, is free to add again
+        e, y, x = TradingCycle((1, 2)), TradingCycle((1, 5)), TradingCycle((2, 3, 4))
+        g = build_graph([e, x, y], 5, UNIFORM3, node_order=[e, x, y])
+        trace = run_local_search(g, [expansion_rule(), all_for_q_rule(1, require_loyalty=False)])
+        assert [(s.rule_index, g.set_of(s.result)) for s in trace.steps] == [
+            (0, {e}),
+            (1, {x}),
+            (0, {x, y}),
+        ]
+
+
+def reference_run_local_search(graph, rules):
+    """The driver with whole-set checks: every result is tested for
+    independence, summed and mapped to its agents from scratch."""
+    weights = graph._tables.weights
+    current = current_weight = 0
+    current_agents = frozenset()
+    steps = []
+    while True:
+        for idx, rule in enumerate(rules):
+            result = rule.apply(graph, current)
+            if result is None:
+                continue
+            if not graph.is_independent_mask(result):
+                raise RuleContractError(f"rule {rule.name} returned a dependent set")
+            new_weight = sum(weights[i] for i in bits(result))
+            if new_weight <= current_weight:
+                raise RuleContractError(f"rule {rule.name} returned a non-improving set")
+            new_agents = graph.agents_of(graph.nodes_of(result))
+            if rule.loyal and not current_agents <= new_agents:
+                raise RuleContractError(
+                    f"rule {rule.name} is flagged loyal but dropped an agent"
+                )
+            current, current_weight, current_agents = result, new_weight, new_agents
+            steps.append(TraceStep(idx, rule.name, current))
+            break
+        else:
+            return LocalSearchTrace(steps=tuple(steps), final=current)
+
+
+def drawn_graph(data, n, k, seed):
+    """A gen_random graph with a drawn non-increasing length function and a
+    drawn restriction (up to a third of its nodes removed)."""
+    lam = LengthFunction.of(k, *data.draw(st.sampled_from(LAMBDAS[k])))
+    p = data.draw(st.sampled_from(DENSITIES[k]))
+    g = gen_random(n, k, p, seed, lam=lam).graph()
+    hidden = data.draw(st.sets(st.integers(0, g.num_nodes), max_size=g.num_nodes // 3))
+    return g.remove_nodes(sum(1 << i for i in hidden if i < g.num_nodes))
+
+
+def catalog_rule_lists(g, q):
+    """(graph, rules) for the searches the catalog runs: ls:q, the nu:q
+    tail on what the greedy head leaves, and broken-swap."""
+    yield g, [expansion_rule(), all_for_q_rule(q)]
+    yield g, [expansion_rule(), all_for_q_rule(q, require_loyalty=False)]
+    ell_star = lambda_profile(g.lam).ell_star
+    if ell_star is not None:
+        first = greedy_solver(hi=ell_star)(g)
+        rest = g.remove_nodes(first | g.neighborhood_mask(first))
+        yield rest, [
+            dataclasses.replace(rule, name=f"{rule.name}[>{ell_star}]")
+            for rule in (expansion_rule(), all_for_q_rule(q))
+        ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=12),
+    st.sampled_from([3, 4]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_driver_matches_whole_set_checks(n, k, seed, q, data):
+    g = drawn_graph(data, n, k, seed)
+    for graph, rules in catalog_rule_lists(g, q):
+        assert run_local_search(graph, rules) == reference_run_local_search(graph, rules)
+
+
+def noise_rule(seed, universe, loyal):
+    """A rule that, on half of its calls, forces in a drawn node and evicts
+    its neighbours, sometimes flipping one more drawn bit; the node is
+    mostly a neighbour of the set, else any node of the whole build, dead
+    ones included.  Its results mix valid, dependent, lighter and disloyal
+    sets."""
+    rng = random.Random(seed)
+
+    def apply_fn(graph, cur, around):
+        if rng.random() < 0.5:
+            return None
+        near = list(bits(around & ~cur))
+        x = rng.choice(near) if near and rng.random() < 0.7 else rng.randrange(universe)
+        result = (cur & ~graph._tables.adj[x]) | 1 << x
+        if rng.random() < 0.2:
+            result ^= 1 << rng.randrange(universe)
+        return result
+
+    return ImprovementRule(name="noise", loyal=loyal, _apply_fn=apply_fn)
+
+
+def outcome(driver, graph, rules):
+    try:
+        return driver(graph, rules)
+    except RuleContractError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=12),
+    st.sampled_from([3, 4]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.data(),
+)
+def test_driver_matches_whole_set_checks_on_arbitrary_results(n, k, seed, q, loyal, data):
+    # the same trace, or the same contract error, as the whole-set checks
+    g = drawn_graph(data, n, k, seed)
+    universe = len(g._tables.nodes)
+    if universe == 0:
+        return
+    noise_seed = data.draw(st.integers(0, 2**32))
+    outcomes = [
+        outcome(
+            driver,
+            g,
+            [noise_rule(noise_seed, universe, loyal), expansion_rule(), all_for_q_rule(q)],
+        )
+        for driver in (run_local_search, reference_run_local_search)
+    ]
+    assert outcomes[0] == outcomes[1]
+
+
+def test_driver_work_grows_with_the_change_not_the_set(monkeypatch):
+    # counts work, not time: the node bits handed to neighborhood_mask
+    # during one ls:q=2 search are at most the nodes each step adds plus,
+    # on a step that removes nodes, the size of its result; re-checking
+    # the whole set after every step costs |result| on every step
+    g = gen_random(250, 3, 0.03, 0).graph()
+    passed = []
+    original = CycleGraph.neighborhood_mask
+
+    def counting(self, mask):
+        passed.append(mask.bit_count())
+        return original(self, mask)
+
+    monkeypatch.setattr(CycleGraph, "neighborhood_mask", counting)
+    trace = run_local_search(g, [expansion_rule(), all_for_q_rule(2)])
+    monkeypatch.undo()
+    bound = swaps = previous = 0
+    for step in trace.steps:
+        bound += (step.result & ~previous).bit_count()
+        if previous & ~step.result:
+            swaps += 1
+            bound += step.result.bit_count()
+        previous = step.result
+    assert swaps > 0 and len(trace.steps) > 40
+    assert sum(passed) <= bound
 
 
 @settings(max_examples=40, deadline=None)

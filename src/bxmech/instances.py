@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
@@ -519,8 +520,9 @@ def _int_lists_field(doc: Mapping, key: str) -> list[list[int]] | None:
     rows = doc.get(key)
     if rows is not None and not (
         isinstance(rows, list)
-        # one type test per row; bool, a subclass of int, is not int
-        and all(isinstance(row, list) and set(map(type, row)) <= _INT for row in rows)
+        and all(isinstance(row, list) for row in rows)
+        # one type test over all ids; bool, a subclass of int, is not int
+        and set(map(type, chain.from_iterable(rows))) <= _INT
     ):
         raise ValueError(f"instance field {key!r} must be a list of integer lists")
     return rows

@@ -53,13 +53,8 @@ class ImprovementRule:
     loyal: bool
     _apply_fn: Callable[[CycleGraph, int, int], int | None]
 
-    def apply(
-        self, graph: CycleGraph, current: int, around: int | None = None
-    ) -> int | None:
-        """The rule's answer for ``current``; ``around`` is N(current),
-        computed here when not given."""
-        if around is None:
-            around = graph.neighborhood_mask(current)
+    def apply(self, graph: CycleGraph, current: int, around: int) -> int | None:
+        """The rule's answer for ``current``; ``around`` is N(current)."""
         return self._apply_fn(graph, current, around)
 
 

@@ -31,6 +31,11 @@ from bxmech.mechanisms import (
 UNIFORM3 = LengthFunction.uniform(3)
 
 
+def apply_rule(rule, graph, current):
+    """``rule``'s answer for ``current``, its neighbourhood computed whole."""
+    return rule.apply(graph, current, graph.neighborhood_mask(current))
+
+
 def graph_of(cycles, n, lam=UNIFORM3, order=None):
     return build_graph([TradingCycle(c) for c in cycles], n, lam, node_order=[TradingCycle(c) for c in order] if order else None)
 
@@ -39,32 +44,32 @@ class TestExpansion:
     def test_adds_single_node(self):
         g = graph_of([(1, 2)], 2)
         rule = expansion_rule()
-        assert rule.apply(g, 0) == g.mask_of({TradingCycle((1, 2))})
+        assert apply_rule(rule, g, 0) == g.mask_of({TradingCycle((1, 2))})
 
     def test_maximal_returns_none(self):
         g = graph_of([(1, 2), (2, 3)], 3)
         rule = expansion_rule()
         current = g.mask_of({TradingCycle((1, 2))})
-        assert rule.apply(g, current) is None
+        assert apply_rule(rule, g, current) is None
 
     def test_picks_first_in_node_order(self):
         g = graph_of([(1, 2), (3, 4), (5, 6)], 6)
         rule = expansion_rule()
-        out = rule.apply(g, 0)
+        out = apply_rule(rule, g, 0)
         assert out == g.mask_of({TradingCycle((1, 2))})
 
 
 class TestAllForQ:
     def test_empty_set_has_no_candidates(self):
         g = graph_of([(1, 2)], 2)
-        assert all_for_q_rule(1).apply(g, 0) is None
+        assert apply_rule(all_for_q_rule(1), g, 0) is None
 
     def test_one_for_two_swap(self):
         # one 3-cycle blocks two 2-cycles that together cover more agents
         v = TradingCycle((1, 2, 3))
         a, b, c = TradingCycle((1, 4)), TradingCycle((2, 5)), TradingCycle((3, 6))
         g = build_graph([v, a, b, c], 6, UNIFORM3)
-        out = all_for_q_rule(1).apply(g, g.mask_of({v}))
+        out = apply_rule(all_for_q_rule(1), g, g.mask_of({v}))
         assert out == g.mask_of({a, b, c})
 
     def test_loyalty_blocks_agent_dropping_swap(self):
@@ -72,23 +77,23 @@ class TestAllForQ:
         v = TradingCycle((1, 2, 3))
         a, b = TradingCycle((1, 4)), TradingCycle((2, 5))
         g = build_graph([v, a, b], 5, UNIFORM3)
-        assert all_for_q_rule(1).apply(g, g.mask_of({v})) is None
+        assert apply_rule(all_for_q_rule(1), g, g.mask_of({v})) is None
         broken = all_for_q_rule(1, require_loyalty=False)
-        assert broken.apply(g, g.mask_of({v})) == g.mask_of({a, b})
+        assert apply_rule(broken, g, g.mask_of({v})) == g.mask_of({a, b})
 
     def test_weight_must_strictly_increase(self):
         v = TradingCycle((1, 2))
         u = TradingCycle((2, 3))
         g = build_graph([v, u], 3, UNIFORM3)
         # swapping one 2-cycle for the other gains nothing
-        assert all_for_q_rule(2).apply(g, g.mask_of({v})) is None
+        assert apply_rule(all_for_q_rule(2), g, g.mask_of({v})) is None
 
     def test_gbad_stalls_both_rules(self):
         for q in (1, 2, 3):
             g = gen_gbad(q).graph()
             blue = g.mask_of(gbad_blue_set(q))
-            assert expansion_rule().apply(g, blue) is None
-            assert all_for_q_rule(q).apply(g, blue) is None
+            assert apply_rule(expansion_rule(), g, blue) is None
+            assert apply_rule(all_for_q_rule(q), g, blue) is None
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
@@ -190,7 +195,7 @@ def test_all_for_q_matches_brute_force_reference(shape, seed, q, loyal, data):
             if g.is_independent(start | {v}):
                 start |= {v}
     rule = all_for_q_rule(q, require_loyalty=loyal)
-    out = rule.apply(g, g.mask_of(start))
+    out = apply_rule(rule, g, g.mask_of(start))
     out = None if out is None else g.set_of(out)
     assert out == reference_all_for_q(g, start, q, loyal)
 
@@ -215,7 +220,7 @@ def test_all_for_q_matches_reference_where_both_cuts_fire(seed):
                 start |= {v}
         starts.append(start)
     for start, q, loyal in itertools.product(starts, (1, 2, 3), (True, False)):
-        out = all_for_q_rule(q, require_loyalty=loyal).apply(g, g.mask_of(start))
+        out = apply_rule(all_for_q_rule(q, require_loyalty=loyal), g, g.mask_of(start))
         out = None if out is None else g.set_of(out)
         assert out == reference_all_for_q(g, start, q, loyal)
 
@@ -351,7 +356,7 @@ def reference_run_local_search(graph, rules):
     steps = []
     while True:
         for idx, rule in enumerate(rules):
-            result = rule.apply(graph, current)
+            result = apply_rule(rule, graph, current)
             if result is None:
                 continue
             if not graph.is_independent_mask(result):

@@ -6,7 +6,6 @@ from .core import (
     NEG_INF,
     Exchange,
     LengthFunction,
-    NegInfinity,
     TradingCycle,
     WishListVector,
     parse_rational,

@@ -397,23 +397,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("spec")
+    p_gen.set_defaults(run=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="run a mechanism on an instance")
     p_solve.add_argument("instance")
     p_solve.add_argument("mechanism")
+    p_solve.set_defaults(run=cmd_solve)
 
     p_fuzz = sub.add_parser("fuzz", help="hunt for profitable manipulations")
     p_fuzz.add_argument("instance")
     p_fuzz.add_argument("mechanism")
     p_fuzz.add_argument("--budget", type=int, default=64)
+    p_fuzz.set_defaults(run=cmd_fuzz)
 
     p_sweep = sub.add_parser("sweep", help="ratio sweep over a generator family")
     p_sweep.add_argument("family")
     p_sweep.add_argument("mechanisms", help="mechanism specs joined with '+'")
     p_sweep.add_argument("--bound", type=str, default=None)
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_prof = sub.add_parser("profile-lambda", help="length-function quantities")
     p_prof.add_argument("spec", help="k=<int>,lambda=<r>,<r>,...")
+    p_prof.set_defaults(run=cmd_profile_lambda)
 
     for p in (p_gen, p_solve, p_fuzz, p_sweep, p_prof):
         _add_global_flags(p, top_level=False)
@@ -429,17 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value < 0:
                 name = flag.replace("_", "-")
                 raise UsageError(f"--{name} must be non-negative, got {value}")
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "fuzz":
-            return cmd_fuzz(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "profile-lambda":
-            return cmd_profile_lambda(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, ValueError, OSError, ExactSearchCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

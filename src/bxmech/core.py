@@ -3,13 +3,16 @@
 Agents are numbered 1..n.  A wish-list vector is the agent digraph: agent i
 is willing to receive from anyone in her wish list, and an exchange is a set
 of pairwise disjoint trading cycles drawn from that digraph.  Utilities and
-welfare are exact rationals (``fractions.Fraction``); floats are deliberately
-kept out of this module so that strict-improvement comparisons made by the
-local-search machinery are exact.
+welfare are exact rationals (``fractions.Fraction``), so that
+strict-improvement comparisons made by the local-search machinery are exact.
+The one float is the utility of a non-wished item, ``NEG_INF = -math.inf``:
+only :func:`utility` returns it and nothing sums it, and it compares exactly
+with every int and ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -44,45 +47,9 @@ def rational_str(value: Fraction) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-class NegInfinity:
-    """Tagged minus-infinity utility sentinel.
+NEG_INF = -math.inf
 
-    Deliberately not a float: it only supports the order comparisons the
-    fuzzers need, and it is never mistaken for a finite utility.
-    """
-
-    _instance: "NegInfinity | None" = None
-
-    def __new__(cls) -> "NegInfinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "-inf"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NegInfinity)
-
-    def __hash__(self) -> int:
-        return hash("NegInfinity")
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, NegInfinity)
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, NegInfinity)
-
-
-NEG_INF = NegInfinity()
-
-Utility = Union[Fraction, NegInfinity]
+Utility = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -204,7 +171,8 @@ class TradingCycle:
     are equal iff their canonical sequences are equal.  Orientation matters:
     (1, 2, 3) and (1, 3, 2) are different cycles.  The hash is computed once,
     as the value the dataclass would give, ``hash((agents,))``, so sets of
-    cycles keep their iteration order.
+    cycles keep their iteration order.  ``length`` is set once too, outside
+    the fields, so equality, hash and repr stay on ``agents``.
     """
 
     agents: tuple[int, ...]
@@ -223,13 +191,10 @@ class TradingCycle:
             agents = agents[pivot:] + agents[:pivot]
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "_hash", hash((agents,)))
+        object.__setattr__(self, "length", len(agents))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
-
-    @property
-    def length(self) -> int:
-        return len(self.agents)
 
     def successor(self, agent: int) -> int:
         idx = self.agents.index(agent)

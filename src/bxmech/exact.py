@@ -44,9 +44,10 @@ class ExactSearchCapExceeded(RuntimeError):
     """The instance is too large for exhaustive search under the given caps."""
 
 
-def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> dict[int, int]:
+def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> tuple[dict[int, int], int]:
     """Bitmask of each allowed node's agents, over the agents the allowed
-    nodes touch: the i-th smallest such agent is bit i."""
+    nodes touch: the i-th smallest such agent is bit i; and the mask of them
+    all."""
     nodes = graph._tables.nodes
     touched = sorted({a for idx in allowed for a in nodes[idx].agents})
     bit = {a: 1 << i for i, a in enumerate(touched)}
@@ -56,29 +57,27 @@ def _agent_masks(graph: CycleGraph, allowed: Sequence[int]) -> dict[int, int]:
         for a in nodes[idx].agents:
             mask |= bit[a]
         out[idx] = mask
-    return out
+    return out, (1 << len(touched)) - 1
 
 
 def _packing_dp(
-    graph: CycleGraph, allowed: Sequence[int], node_agents: dict[int, int]
+    graph: CycleGraph, allowed: Sequence[int], node_agents: dict[int, int], all_agents: int
 ) -> list[int]:
     """f[S] = best scaled packing weight using allowed nodes whose agents lie
-    in S, for every subset S of the touched agents (``node_agents`` bits)."""
+    in S, for every subset S of the touched agents (``node_agents`` bits),
+    which are the low bits up to ``all_agents``."""
     weights = graph._tables.weights
     # lowest agent bit -> (agent mask, weight) of the nodes holding that agent
     by_agent: dict[int, list[tuple[int, int]]] = {}
-    touched = 0
     for idx in allowed:
         am = node_agents[idx]
-        touched |= am
         m = am
         while m:
             low = m & -m
             by_agent.setdefault(low, []).append((am, weights[idx]))
             m ^= low
-    size = 1 << touched.bit_length()
-    table = [0] * size
-    for subset in range(1, size):
+    table = [0] * (all_agents + 1)
+    for subset in range(1, all_agents + 1):
         low_bit = subset & -subset
         best = table[subset ^ low_bit]
         for am, w in by_agent.get(low_bit, ()):
@@ -113,18 +112,14 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
 
     allowed = list(bits(mask))
     use_dp = graph.n <= DP_AGENT_CAP
-    node_agents = _agent_masks(graph, allowed)
-    dp_table = _packing_dp(graph, allowed, node_agents) if use_dp else None
+    node_agents, all_agents = _agent_masks(graph, allowed)
+    dp_table = _packing_dp(graph, allowed, node_agents, all_agents) if use_dp else None
 
     weights, adj = tables.weights, tables.adj
     # suffix[i] = total scaled weight of allowed nodes at or after position i
     suffix = [0] * (len(allowed) + 1)
     for pos in range(len(allowed) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + weights[allowed[pos]]
-
-    all_agents = 0
-    for idx in allowed:
-        all_agents |= node_agents[idx]
 
     best_weight: int | None = None
     best_mask = 0

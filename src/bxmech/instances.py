@@ -43,7 +43,7 @@ from .core import (
     parse_rational,
     rational_str,
 )
-from .cyclegraph import CycleGraph, build_graph, enumerate_cycles
+from .cyclegraph import CycleGraph, build_from_wishes, build_graph, enumerate_cycles
 
 FORMAT_TAG = "bx-v1"
 
@@ -82,11 +82,9 @@ class InstanceBundle:
         (graphs are immutable)."""
         if self._graph is None:
             if self.wishes is not None:
-                cycles = enumerate_cycles(self.wishes, self.k)
+                graph = build_from_wishes(self.wishes, self.lam, self.node_order)
             else:
-                cycles = list(self.direct_nodes or ())
-            order = list(self.node_order) if self.node_order is not None else None
-            graph = build_graph(cycles, self.n, self.lam, node_order=order)
+                graph = build_graph(self.direct_nodes, self.n, self.lam, self.node_order)
             object.__setattr__(self, "_graph", graph)
         return self._graph
 
@@ -97,6 +95,14 @@ def _expect(**entries: tuple[object, str]) -> dict[str, dict[str, str]]:
         text = rational_str(value) if isinstance(value, Fraction) else str(value)
         out[key] = {"value": text, "basis": basis}
     return out
+
+
+def _lam_for(k: int, lam: LengthFunction | None) -> LengthFunction:
+    """A generator's length function: ``lam`` (uniform if None) of bound k."""
+    lam = lam or LengthFunction.uniform(k)
+    if lam.k != k:
+        raise ValueError("length function bound disagrees with k")
+    return lam
 
 
 def implied_wishes(nodes: Sequence[TradingCycle], n: int) -> WishListVector:
@@ -126,8 +132,7 @@ def _verticals(blacks: int, v: int) -> list[TradingCycle]:
 def _check_comb(h: int, v: int, k: int, lam: LengthFunction) -> None:
     if not 2 <= h < v <= k:
         raise ValueError(f"need 2 <= h < v <= k, got h={h} v={v} k={k}")
-    if lam.k != k:
-        raise ValueError("length function bound disagrees with k")
+    _lam_for(k, lam)
     if not lam(v) < lam(h):
         raise ValueError(f"need lambda({v}) < lambda({h})")
 
@@ -321,9 +326,7 @@ def gen_fan(k: int, lam: LengthFunction | None = None) -> InstanceBundle:
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    lam = lam or LengthFunction.uniform(k)
-    if lam.k != k:
-        raise ValueError("length function bound disagrees with k")
+    lam = _lam_for(k, lam)
     cycles, nxt = _fan_parts(k)
     n = nxt - 1
     wishes = implied_wishes(cycles, n)
@@ -361,9 +364,7 @@ def gen_ladder(k: int, big_n: int, lam: LengthFunction | None = None) -> Instanc
         raise ValueError(f"need k >= 3, got {k}")
     if big_n < 1:
         raise ValueError(f"need N >= 1, got {big_n}")
-    lam = lam or LengthFunction.uniform(k)
-    if lam.k != k:
-        raise ValueError("length function bound disagrees with k")
+    lam = _lam_for(k, lam)
     order, nxt = _fan_parts(k)
     row_len = 2 * big_n * (k - 1) + 1
     rows = [range(nxt + r * row_len, nxt + (r + 1) * row_len) for r in range(k - 1)]
@@ -442,9 +443,7 @@ def gen_random(
         raise ValueError(f"need at least 2 agents, got {n}")
     if not 0 <= float(p) <= 1:
         raise ValueError(f"arc density must lie in [0, 1], got {p}")
-    lam = lam or LengthFunction.uniform(k)
-    if lam.k != k:
-        raise ValueError("length function bound disagrees with k")
+    lam = _lam_for(k, lam)
     rng = Random(seed)
     wishes: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
     for i in range(1, n + 1):

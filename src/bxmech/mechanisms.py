@@ -88,12 +88,12 @@ class LambdaProfile:
 
 
 def lambda_profile(lam: LengthFunction) -> LambdaProfile:
-    """The profile of ``lam``, computed once per distinct length function
+    """The profile of ``lam``, computed once per length-function object
     (the result is shared, so ``equal_classes`` is read-only).
 
-    It is also kept on the instance, the way ``functools.cached_property``
-    keeps a value, so a solve that asks again for its graph's profile
-    hashes and compares no ``Fraction``.
+    It is kept on the instance, the way ``functools.cached_property`` keeps
+    a value, so a solve that asks again for its graph's profile does no
+    ``Fraction`` work.
     """
     memo = vars(lam)
     profile = memo.get("_lambda_profile")
@@ -102,7 +102,6 @@ def lambda_profile(lam: LengthFunction) -> LambdaProfile:
     return profile
 
 
-@cache
 def _profile_of(lam: LengthFunction) -> LambdaProfile:
     k = lam.k
     pairs = [
@@ -445,7 +444,7 @@ def _int_param(text: str, key: str) -> int:
         raise ValueError(f"expected {prefix}<int>, got {text!r}")
     value = text[len(prefix):]
     if value == "*":
-        raise ValueError(f"wildcard {key}=* is only meaningful inside sweep")
+        raise ValueError(f"wildcard {key}=* needs an instance that records {key}")
     return parse_int(value, f"parameter {key}")
 
 

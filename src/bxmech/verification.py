@@ -211,7 +211,7 @@ def fuzz_truthfulness_wishlists(
     lam: LengthFunction,
     budget: int = 64,
     seed: int = 0,
-    exhaustive_limit: int = 12,
+    exhaustive_limit: int = EXHAUSTIVE_NODE_LIMIT,
     node_order: Sequence[TradingCycle] | None = None,
 ) -> list[ManipulationFinding]:
     """Search for an agent who profits from under-reporting her wish list.
@@ -237,23 +237,25 @@ def fuzz_truthfulness_wishlists(
         honest = _scaled_utility(utility, base, agent)
         if own and honest >= max(utility[v.length] for v in graph.nodes_of(own)):
             continue
-        # each own node with the agent's successor on it: a reported subset
-        # kills exactly the nodes whose outgoing arc it conceals
-        arcs = [
-            (1 << i, v.successor(agent)) for i, v in zip(bits(own), graph.nodes_of(own))
-        ]
-        rng = random.Random(_derive_seed(seed, agent, 2))
+        # kill[i]: the own nodes whose outgoing arc goes to wish full[i]; a
+        # reported subset (bit i = full[i] kept) kills exactly the nodes of
+        # the wishes it conceals
         m = len(full)
+        position = {wish: i for i, wish in enumerate(full)}
+        kill = [0] * m
+        for i, v in zip(bits(own), graph.nodes_of(own)):
+            kill[position[v.successor(agent)]] |= 1 << i
+        everything = (1 << m) - 1
+        rng = random.Random(_derive_seed(seed, agent, 2))
         if m <= exhaustive_limit:
-            masks: Iterable[int] = range((1 << m) - 1)  # proper subsets
+            masks: Iterable[int] = range(everything)  # proper subsets
         else:
-            masks = sorted(
-                {rng.randrange(0, (1 << m) - 1) for _ in range(budget)}
-            )
+            masks = sorted({rng.randrange(0, everything) for _ in range(budget)})
         tried: dict[int, int] = {}
         for mask in masks:
-            reported = frozenset(full[i] for i in range(m) if mask & (1 << i))
-            removed = sum(bit for bit, nxt in arcs if nxt not in reported)
+            removed = 0
+            for i in bits(everything & ~mask):
+                removed |= kill[i]
             if removed in tried:
                 manipulated = tried[removed]
             else:
@@ -266,7 +268,7 @@ def fuzz_truthfulness_wishlists(
                     ManipulationFinding(
                         agent=agent,
                         kind="wishlist-subset",
-                        strategy=tuple(sorted(reported)),
+                        strategy=tuple(full[i] for i in bits(mask)),
                         honest_utility=Fraction(honest, scale),
                         manipulated_utility=Fraction(manipulated, scale),
                     )

@@ -278,6 +278,27 @@ class TestFuzz:
         assert "hide-nodes" in kinds and "wishlist-subset" in kinds
 
 
+class TestWildcard:
+    # solve and fuzz resolve q=* from the instance's params, as sweep does
+    @pytest.mark.parametrize("command", ["solve", "fuzz"])
+    def test_resolves_q_from_a_gbad_file(self, tmp_path, capsys, command):
+        path = gen_file(tmp_path, "gbad:q=2")
+        capsys.readouterr()
+        wild = run(capsys, command, str(path), "ls:q=*")
+        assert wild[0] == 0
+        assert wild == run(capsys, command, str(path), "ls:q=2")
+
+    @pytest.mark.parametrize("command", ["solve", "fuzz"])
+    def test_rejects_a_file_without_q(self, tmp_path, capsys, command):
+        path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1")
+        capsys.readouterr()
+        code, out, err = run(capsys, command, str(path), "ls:q=*")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: mechanism 'ls:q=*' uses q=* but instance rand-n6-k3-p0.5-s1 has no q\n"
+        )
+
+
 class TestSweep:
     def test_tightness_family(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "gbad:q=1..4", "ls:q=*")

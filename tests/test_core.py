@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import pytest
@@ -32,6 +32,19 @@ def test_neg_inf_ordering():
     assert not NEG_INF > Fraction(0)
     assert NEG_INF == NEG_INF
     assert Fraction(0) > NEG_INF
+    assert repr(NEG_INF) == "-inf"
+
+
+@given(st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True), st.integers(0, 5))
+def test_cycle_length_survives_rotation(agents, shift):
+    shift %= len(agents)
+    a = TradingCycle(tuple(agents))
+    b = TradingCycle(tuple(agents[shift:] + agents[:shift]))
+    assert a.length == b.length == len(a.agents) == len(agents)
+    assert a == b and hash(a) == hash(b)
+    # length is set once, outside the fields: eq, hash and repr see agents only
+    assert [f.name for f in fields(TradingCycle)] == ["agents"]
+    assert repr(a) == f"Cycle{a.agents}"
 
 
 class TestLengthFunction:

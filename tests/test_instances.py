@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, TradingCycle, parse_rational
+from bxmech.cyclegraph import build_from_wishes
 from bxmech.instances import (
     bundle_from_json_dict,
     bundle_to_json_dict,
@@ -331,6 +333,20 @@ class TestSerialization:
         assert again == graph
         for mech in catalog():
             assert outcome(mech, again) == outcome(mech, graph)
+
+    @pytest.mark.parametrize("bundle", [gen_fan(4), gen_ladder(3, 1)], ids=lambda b: b.name)
+    def test_loaded_wishlist_graph_is_built_from_the_wishes(self, bundle, tmp_path):
+        # a wish-list instance's graph has one builder, build_from_wishes,
+        # under the node order the file records
+        order = list(bundle.node_order)
+        random.Random(7).shuffle(order)
+        path = tmp_path / "inst.json"
+        save_instance(dataclasses.replace(bundle, node_order=tuple(order)), path)
+        loaded = load_instance(path)
+        assert loaded.node_order == tuple(order) != bundle.node_order
+        graph = loaded.graph()
+        assert graph == build_from_wishes(loaded.wishes, loaded.lam, loaded.node_order)
+        assert graph.nodes == tuple(order)
 
     def test_golden_bytes(self):
         for bundle, name in [

@@ -72,9 +72,12 @@ class TestLambdaProfile:
         assert p.equal_classes[4] == (3, 4)
 
     def test_profile_is_shared_and_read_only(self):
+        # the profile is memoised per length-function object; equal objects
+        # give equal profiles
         lam = LengthFunction.of(4, "1", "9/10", "9/10")
         p = lambda_profile(lam)
-        assert lambda_profile(LengthFunction.of(4, "1", "9/10", "9/10")) is p
+        assert lambda_profile(lam) is p
+        assert lambda_profile(LengthFunction.of(4, "1", "9/10", "9/10")) == p
         with pytest.raises(TypeError):
             p.equal_classes[4] = (4,)
         assert p.equal_classes[4] == (3, 4)
@@ -372,6 +375,12 @@ class TestSpecParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_mechanism(bad)
+
+    def test_wildcard_names_what_it_needs(self):
+        # the CLI's solve, fuzz and sweep resolve q=* from the instance; a
+        # bare spec has none
+        with pytest.raises(ValueError, match=r"^wildcard q=\* needs an instance that records q$"):
+            parse_mechanism("ls:q=*")
 
     @pytest.mark.parametrize("spec", ["io", "opt:l=3", "rand:zeta=1/2:base=io"])
     def test_node_cap_reaches_exact_solves(self, spec):

@@ -302,6 +302,106 @@ class TestWishlistFuzz:
                 prev = (g, out)
 
 
+def reference_wishlist_fuzz(solver, true_wishes, lam, budget, seed, exhaustive_limit, node_order):
+    """fuzz_truthfulness_wishlists as it built a frozenset of the reported
+    wishes for every strategy and scanned the agent's arcs against it."""
+    graph = build_from_wishes(true_wishes, lam, node_order)
+    base = solver(graph)
+    findings = []
+    for agent in range(1, true_wishes.n + 1):
+        full = sorted(true_wishes.of(agent))
+        if not full:
+            continue
+        own = graph.agent_mask(agent)
+        honest = graph_utility(graph, base, agent)
+        if own and honest >= max(lam(v.length) for v in graph.nodes_of(own)):
+            continue
+        arcs = [(1 << i, v.successor(agent)) for i, v in zip(bits(own), graph.nodes_of(own))]
+        rng = random.Random(_derive_seed(seed, agent, 2))
+        m = len(full)
+        if m <= exhaustive_limit:
+            masks = range((1 << m) - 1)
+        else:
+            masks = sorted({rng.randrange(0, (1 << m) - 1) for _ in range(budget)})
+        tried = {}
+        for mask in masks:
+            reported = frozenset(full[i] for i in range(m) if mask & (1 << i))
+            removed = sum(bit for bit, nxt in arcs if nxt not in reported)
+            if removed not in tried:
+                tried[removed] = graph_utility(
+                    graph, solver(graph.remove_nodes(removed)), agent
+                )
+            if tried[removed] > honest:
+                findings.append(
+                    ManipulationFinding(
+                        agent, "wishlist-subset", tuple(sorted(reported)), honest, tried[removed]
+                    )
+                )
+    return findings
+
+
+def parity_greedy(graph):
+    """Greedy over the nodes in node order, or in reverse when their number
+    is odd: hiding one node flips the order, so most draws give findings."""
+    adj = graph._tables.adj
+    picks = blocked = 0
+    order = list(bits(graph._alive))
+    for i in reversed(order) if len(order) % 2 else order:
+        if not blocked >> i & 1:
+            picks |= 1 << i
+            blocked |= adj[i]
+    return graph.set_of(picks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kill_masks_match_the_reported_set_scan(data):
+    # the fuzzer ORs one precomputed mask per concealed wish; the reference
+    # rebuilds the reported set and rescans the arcs for every strategy
+    k = data.draw(st.sampled_from([3, 4]))
+    lam = data.draw(
+        st.sampled_from([LengthFunction.uniform(k), LengthFunction.of(k, "1", *["1/2"] * (k - 2))])
+    )
+    n = data.draw(st.integers(5, 8))
+    p = data.draw(st.sampled_from([0.5, 0.65]))
+    wishes = gen_random(n, k, p, data.draw(st.integers(0, 10_000)), lam=lam).wishes
+    order = None
+    if data.draw(st.booleans()):
+        order = list(build_from_wishes(wishes, lam).nodes)
+        random.Random(data.draw(st.integers(0, 100))).shuffle(order)
+    solve = data.draw(
+        st.sampled_from(
+            [
+                ls_mechanism(1).solve,
+                broken_swap_algorithm(1).solve,
+                greedy_mechanism().solve,
+                parity_greedy,
+            ]
+        )
+    )
+    # a small limit sends agents with more wishes to the sampled branch
+    limit = data.draw(st.sampled_from([EXHAUSTIVE_NODE_LIMIT, 0, 2]))
+    budget = data.draw(st.integers(1, 6))
+    seed = data.draw(st.integers(0, 3))
+    calls = {"fuzzer": [], "reference": []}
+
+    def recording(log):
+        def recorded(graph):
+            log.append(graph._alive)
+            return solve(graph)
+
+        return recorded
+
+    mine = fuzz_truthfulness_wishlists(
+        recording(calls["fuzzer"]), wishes, lam, budget, seed, limit, order
+    )
+    expect = reference_wishlist_fuzz(
+        recording(calls["reference"]), wishes, lam, budget, seed, limit, order
+    )
+    assert mine == expect
+    assert calls["fuzzer"] == calls["reference"]
+
+
 class TestInpa:
     def test_empty_graph(self):
         g = build_graph([], 2, UNIFORM3)

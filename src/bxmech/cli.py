@@ -162,13 +162,13 @@ def expand_generator_family(spec: str) -> list[str]:
 def _resolve_mechanism(
     spec: str, bundle: InstanceBundle, node_cap: int, seed: int
 ) -> Mechanism:
-    if "=*" in spec:
+    if "q=*" in spec:
         params = bundle.params or {}
         if "q" not in params:
             raise UsageError(
                 f"mechanism {spec!r} uses q=* but instance {bundle.name} has no q"
             )
-        spec = spec.replace("=*", f"={params['q']}")
+        spec = spec.replace("q=*", f"q={params['q']}")
     return parse_mechanism(spec, node_cap, seed)
 
 

@@ -1,17 +1,15 @@
 """Exact maximum-weight independent-set solvers for cycle graphs.
 
-The workhorse is a branch-and-bound that scans nodes in node order and
-branches include-first, so the first optimum it completes is the
-lexicographically first one (compare independent sets by their sorted rank
-tuples).  Equal-weight bounds therefore prune safely: anything found later
-ties at best and loses the tie-break.
-
-The bound is exact where it is cheap to be: when the agent count is small a
-full DP over the subsets of the agents the allowed nodes touch is computed
-first (independent sets of a cycle graph are exactly agent-disjoint node
-packings), and the DP value on the yet-uncovered agents bounds every
-completion.  Graphs with many agents but few nodes fall back to suffix
-weight sums.
+Both routes return the lexicographically first optimum (compare independent
+sets by their sorted rank tuples).  With at most ``DP_AGENT_CAP`` agents, a
+DP over the subsets of the agents the allowed nodes touch gives the best
+packing weight on each subset (independent sets of a cycle graph are exactly
+agent-disjoint node packings), and one pass in node order takes each node
+that some optimum holds along with the nodes taken before it, which yields
+the first optimum node by node.  With more agents, a branch-and-bound scans
+the nodes in node order and branches include-first, so the first optimum it
+completes is the first one; it prunes on suffix weight sums, equal bounds
+included, since anything found later ties at best and loses the tie-break.
 
 Both solvers search the graph's alive nodes: to restrict a search to some
 nodes, remove the others first (:meth:`CycleGraph.remove_nodes`).  They run
@@ -24,9 +22,8 @@ graph's shared build (:class:`~bxmech.cyclegraph.GraphTables`), which every
 restriction of that build reads and fills.  The key is the alive node mask.  The memo is exact
 because the answer depends only on the shared tables (nodes, adjacency,
 scaled weights, agent count) and on that mask: it is the lexicographically
-first optimum in the built graph's node order, whichever route (DP bound or
-suffix bound) finds it.  The naive scan is the ground truth and is never
-memoised.
+first optimum in the built graph's node order, whichever route finds it.
+The naive scan is the ground truth and is never memoised.
 """
 
 from __future__ import annotations
@@ -111,47 +108,50 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
         return solved
 
     allowed = list(bits(mask))
-    use_dp = graph.n <= DP_AGENT_CAP
-    node_agents, all_agents = _agent_masks(graph, allowed)
-    dp_table = _packing_dp(graph, allowed, node_agents, all_agents) if use_dp else None
-
-    weights, adj = tables.weights, tables.adj
-    # suffix[i] = total scaled weight of allowed nodes at or after position i
-    suffix = [0] * (len(allowed) + 1)
-    for pos in range(len(allowed) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + weights[allowed[pos]]
-
-    best_weight: int | None = None
+    weights = tables.weights
     best_mask = 0
+    if graph.n <= DP_AGENT_CAP:
+        node_agents, all_agents = _agent_masks(graph, allowed)
+        table = _packing_dp(graph, allowed, node_agents, all_agents)
+        # The taken nodes and a best packing of the free agents make an
+        # optimum, so v passes iff some optimum holds the taken nodes and v.
+        # By induction the taken nodes are the first optimum's nodes before
+        # v; an optimum holding them and v would, if the first one lacked v,
+        # differ from it first at a node it holds, and so come before it.
+        free = all_agents
+        for idx in allowed:
+            am = node_agents[idx]
+            if am & free == am and weights[idx] + table[free & ~am] == table[free]:
+                best_mask |= 1 << idx
+                free &= ~am
+    else:
+        adj = tables.adj
+        # suffix[i] = total scaled weight of allowed nodes at or after position i
+        suffix = [0] * (len(allowed) + 1)
+        for pos in range(len(allowed) - 1, -1, -1):
+            suffix[pos] = suffix[pos + 1] + weights[allowed[pos]]
+        best_weight = -1  # below every weight, so the first leaf is kept
 
-    def search(pos: int, chosen: int, blocked: int, cur: int, uncovered: int) -> None:
-        nonlocal best_weight, best_mask
-        while pos < len(allowed) and (1 << allowed[pos]) & blocked:
-            pos += 1
-        if pos == len(allowed):
-            if best_weight is None or cur > best_weight:
-                best_weight = cur
-                best_mask = chosen
-            return
-        if best_weight is not None:
-            bound = dp_table[uncovered] if dp_table is not None else suffix[pos]
-            if cur + bound <= best_weight:
+        def search(pos: int, chosen: int, blocked: int, cur: int) -> None:
+            nonlocal best_weight, best_mask
+            while pos < len(allowed) and (1 << allowed[pos]) & blocked:
+                pos += 1
+            if pos == len(allowed):
+                if cur > best_weight:
+                    best_weight = cur
+                    best_mask = chosen
                 return
-        idx = allowed[pos]
-        bit = 1 << idx
-        search(
-            pos + 1,
-            chosen | bit,
-            blocked | adj[idx] | bit,
-            cur + weights[idx],
-            uncovered & ~node_agents[idx],
-        )
-        search(pos + 1, chosen, blocked | bit, cur, uncovered)
+            if cur + suffix[pos] <= best_weight:
+                return
+            idx = allowed[pos]
+            bit = 1 << idx
+            search(pos + 1, chosen | bit, blocked | adj[idx] | bit, cur + weights[idx])
+            search(pos + 1, chosen, blocked | bit, cur)
 
-    search(0, 0, 0, 0, all_agents)
-    # search refers to itself through its closure; breaking that cycle frees
-    # this call's tables now rather than at a full collection
-    del search
+        search(0, 0, 0, 0)
+        # search refers to itself through its closure; breaking that cycle
+        # frees this call's tables now rather than at a full collection
+        del search
     tables.solved[mask] = best_mask
     return best_mask
 
@@ -159,8 +159,8 @@ def max_weight_independent_set(graph: CycleGraph, *, node_cap: int | None = None
 def naive_max_weight_independent_set(graph: CycleGraph, hard_cap: int = 20) -> int:
     """Cross-validator: scan all 2^|V| node subsets; returns a node mask.
 
-    Same tie-break as the branch-and-bound (first optimum by sorted rank
-    tuples), so the two solvers must agree exactly.
+    Same tie-break as :func:`max_weight_independent_set` (first optimum by
+    sorted rank tuples), so the two solvers must agree exactly.
     """
     allowed = list(bits(graph._alive))
     m = len(allowed)

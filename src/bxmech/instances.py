@@ -289,9 +289,7 @@ def gen_gbad(q: int) -> InstanceBundle:
 
 
 def gbad_blue_set(q: int) -> frozenset[TradingCycle]:
-    return frozenset(
-        TradingCycle((3 * i + 1, 3 * i + 2, 3 * i + 3)) for i in range(q + 1)
-    )
+    return frozenset((gen_gbad(q).direct_nodes or ())[: q + 1])
 
 
 def gbad_red_set(q: int) -> frozenset[TradingCycle]:
@@ -547,8 +545,6 @@ def bundle_from_json_dict(doc: Mapping) -> InstanceBundle:
     wishes = None
     rows = _int_lists_field(doc, "wishes")
     if rows is not None:
-        if len(rows) != n:
-            raise ValueError(f"expected {n} wish lists, got {len(rows)}")
         wishes = WishListVector(n=n, wish=tuple(map(frozenset, rows)))
     direct = None
     rows = _int_lists_field(doc, "direct_nodes")

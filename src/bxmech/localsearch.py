@@ -121,7 +121,6 @@ def _all_for_q_apply_factory(
             by_evicts[evicts] = by_evicts.get(evicts, 0) | low
         if not pool:
             return None
-        max_size = q * graph.k
         cur_agents = _agent_bits(graph, cur_mask)
         agent_mask = tables.agent_mask
         # full eviction set E -> the pool nodes that evict only inside E
@@ -138,33 +137,27 @@ def _all_for_q_apply_factory(
 
         def search(
             cand: int, x_mask: int, x_agents: int,
-            evict: int, evict_agents: int, gain: int, size: int,
+            evict: int, evict_agents: int, gain: int,
         ) -> tuple[int, int] | None:
             # gain = scaled weight of X minus that of its evicted set; the
             # first passing X in DFS order is the answer, and the two cuts
-            # below drop only extensions that cannot pass (see all_for_q_rule).
-            # On a full budget, cut 1 has left only nodes that evict inside
-            # it, so neither the evicted set nor the gain's debit changes.
-            full = evict.bit_count() == q
+            # below drop only extensions that cannot pass (see all_for_q_rule)
             while cand:
                 low = cand & -cand
                 cand ^= low
                 r = low.bit_length() - 1
                 r_evicts, r_evict_agents, r_agents = info[r]
+                new_evict = evict | r_evicts
+                evicted = new_evict.bit_count()
+                if evicted > q:
+                    continue
                 new_gain = gain + weights[r]
-                if full:
-                    new_evict, new_evict_agents = evict, evict_agents
-                else:
-                    new_evict = evict | r_evicts
-                    evicted = new_evict.bit_count()
-                    if evicted > q:
-                        continue
-                    fresh = r_evicts & ~evict
-                    while fresh:
-                        f = fresh & -fresh
-                        new_gain -= weights[f.bit_length() - 1]
-                        fresh ^= f
-                    new_evict_agents = evict_agents | r_evict_agents
+                fresh = r_evicts & ~evict
+                while fresh:
+                    f = fresh & -fresh
+                    new_gain -= weights[f.bit_length() - 1]
+                    fresh ^= f
+                new_evict_agents = evict_agents | r_evict_agents
                 new_x = x_mask | low
                 new_agents = x_agents | r_agents
                 if new_gain > 0 and (
@@ -175,10 +168,8 @@ def _all_for_q_apply_factory(
                     )
                 ):
                     return new_x, new_evict
-                if size + 1 == max_size:
-                    continue
                 rest = cand & ~adj[r]
-                if not full and evicted == q:
+                if evicted == q:
                     # cut 1: X fills the budget, so only nodes evicting
                     # inside it can extend X
                     fit = inside.get(new_evict)
@@ -195,13 +186,13 @@ def _all_for_q_apply_factory(
                 if rest:
                     found = search(
                         rest, new_x, new_agents,
-                        new_evict, new_evict_agents, new_gain, size + 1,
+                        new_evict, new_evict_agents, new_gain,
                     )
                     if found is not None:
                         return found
             return None
 
-        found = search(pool, 0, 0, 0, 0, 0, 0)
+        found = search(pool, 0, 0, 0, 0, 0)
         # search refers to itself through its closure; breaking that cycle
         # frees this call's tables now rather than at a full collection
         del search
@@ -228,10 +219,10 @@ def all_for_q_rule(q: int, require_loyalty: bool = True) -> ImprovementRule:
     Among the passing candidates the rule returns the one with the smallest
     key (sorted ranks of X, sorted ranks of the evicted set).  X alone fixes
     its evicted set (its current neighbours), and the search walks the
-    independent subsets X of the usable pool, at most q*k nodes each, in
-    increasing order of their sorted rank tuples, a prefix before its
-    extensions.  So the first X that passes is the answer, and the search
-    stops there.
+    independent subsets X of the usable pool in increasing key order, a
+    prefix before its extensions, and stops at the first X that passes.
+    Independence keeps X within q*k nodes: no two share an agent, and each
+    holds one of the at most q*k agents of the at most q evicted nodes.
 
     The search leaves out two kinds of extension, neither of which can
     contain a passing X, so it still meets the passing X's in that order

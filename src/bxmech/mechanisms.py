@@ -78,7 +78,6 @@ class LambdaProfile:
     lam(k)/lam(ell_star) > (k-1)/k.
     """
 
-    lam: LengthFunction
     ell_star: int | None
     tumbles: tuple[int, ...]
     equal_classes: Mapping[int, tuple[int, ...]]
@@ -117,31 +116,23 @@ def _profile_of(lam: LengthFunction) -> LambdaProfile:
         ell: tuple(e for e in range(2, ell + 1) if lam(e) == lam(ell))
         for ell in tumbles
     })
-    if not pairs:
-        return LambdaProfile(
-            lam=lam,
-            ell_star=None,
-            tumbles=tumbles,
-            equal_classes=classes,
-            rho=None,
-            rho_parts=None,
-            flat_tail=None,
+    ell_star = rho = rho_parts = flat = None
+    if pairs:
+        ell_star = max(ell for ell in range(2, k) if lam(ell) > lam(k))
+        rho_single = max(Fraction(hi) * lam(hi) / lam(lo) for lo, hi in pairs)
+        rho_mixed = max(
+            Fraction(lo - 1, lo) * Fraction(hi) * lam(hi) / lam(lo) + 1
+            for lo, hi in pairs
         )
-    ell_star = max(ell for ell in range(2, k) if lam(ell) > lam(k))
-    rho_single = max(Fraction(hi) * lam(hi) / lam(lo) for lo, hi in pairs)
-    rho_mixed = max(
-        Fraction(lo - 1, lo) * Fraction(hi) * lam(hi) / lam(lo) + 1
-        for lo, hi in pairs
-    )
-    rho = max(rho_single, rho_mixed)
-    flat = lam(k) / lam(ell_star) > Fraction(k - 1, k)
+        rho_parts = (rho_single, rho_mixed)
+        rho = max(rho_parts)
+        flat = lam(k) / lam(ell_star) > Fraction(k - 1, k)
     return LambdaProfile(
-        lam=lam,
         ell_star=ell_star,
         tumbles=tumbles,
         equal_classes=classes,
         rho=rho,
-        rho_parts=(rho_single, rho_mixed),
+        rho_parts=rho_parts,
         flat_tail=flat,
     )
 
@@ -227,7 +218,7 @@ class Mechanism:
     params: Mapping[str, object]
     truthful_for: str  # "any" | "uniform" | "non-uniform" | "none"
     solver: Solver
-    _bound: Callable[[LengthFunction], Fraction | None] = lambda lam: None
+    claimed_bound: Callable[[LengthFunction], Fraction | None] = lambda lam: None
 
     def solve(
         self, graph: CycleGraph, stats: SearchStats | None = None
@@ -239,9 +230,6 @@ class Mechanism:
 
     run = solve
 
-    def claimed_bound(self, lam: LengthFunction) -> Fraction | None:
-        return self._bound(lam)
-
 
 def greedy_mechanism() -> Mechanism:
     return Mechanism(
@@ -249,7 +237,7 @@ def greedy_mechanism() -> Mechanism:
         params={},
         truthful_for="any",
         solver=greedy_solver(),
-        _bound=lambda lam: Fraction(lam.k),
+        claimed_bound=lambda lam: Fraction(lam.k),
     )
 
 
@@ -266,7 +254,7 @@ def ls_mechanism(q: int) -> Mechanism:
         params={"q": q},
         truthful_for="uniform",
         solver=local_search(expansion_rule(), all_for_q_rule(q)),
-        _bound=lambda lam: Fraction(lam.k - 1) + Fraction(1, q),
+        claimed_bound=lambda lam: Fraction(lam.k - 1) + Fraction(1, q),
     )
 
 
@@ -319,7 +307,7 @@ def nu_mechanism(q: int) -> Mechanism:
         params={"q": q},
         truthful_for="non-uniform",
         solver=run,
-        _bound=bound,
+        claimed_bound=bound,
     )
 
 
@@ -352,7 +340,7 @@ def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
         params={},
         truthful_for="any",
         solver=run,
-        _bound=bound,
+        claimed_bound=bound,
     )
 
 
@@ -443,18 +431,17 @@ def _int_param(text: str, key: str) -> int:
     if not text.startswith(prefix):
         raise ValueError(f"expected {prefix}<int>, got {text!r}")
     value = text[len(prefix):]
+    if value == "*" and key == "q":
+        raise ValueError("wildcard q=* needs an instance that records q")
     if value == "*":
-        raise ValueError(f"wildcard {key}=* needs an instance that records {key}")
+        raise ValueError(f"wildcard {key}=*: only q=* can be bound from an instance")
     return parse_int(value, f"parameter {key}")
 
 
-def catalog(
-    qs: Sequence[int] = (1, 2), include_io: bool = True
-) -> list[Mechanism]:
+def catalog(qs: Sequence[int] = (1, 2)) -> list[Mechanism]:
     out: list[Mechanism] = [greedy_mechanism()]
     for q in qs:
         out.append(ls_mechanism(q))
         out.append(nu_mechanism(q))
-    if include_io:
-        out.append(io_mechanism())
+    out.append(io_mechanism())
     return out

@@ -222,7 +222,7 @@ def fuzz_truthfulness_wishlists(
     surviving cycle set are deduplicated by the mask of the concealed nodes
     (arcs on no cycle cannot matter).  ``node_order`` is the instance's node
     order, if it injects one, so the mechanism is attacked under the
-    tie-breaks it is run with.
+    tie-breaks it is run with; agents are skipped as the node fuzzer skips them.
     """
     graph = build_from_wishes(true_wishes, lam, node_order)
     base = solver(graph)
@@ -230,13 +230,13 @@ def fuzz_truthfulness_wishlists(
     utility, scale = tables.utility, tables.scale
     findings: list[ManipulationFinding] = []
     for agent in range(1, true_wishes.n + 1):
-        full = sorted(true_wishes.of(agent))
-        if not full:
-            continue
         own = graph.agent_mask(agent)
-        honest = _scaled_utility(utility, base, agent)
-        if own and honest >= max(utility[v.length] for v in graph.nodes_of(own)):
+        if not own:
             continue
+        honest = _scaled_utility(utility, base, agent)
+        if honest >= max(utility[v.length] for v in graph.nodes_of(own)):
+            continue
+        full = sorted(true_wishes.of(agent))
         # kill[i]: the own nodes whose outgoing arc goes to wish full[i]; a
         # reported subset (bit i = full[i] kept) kills exactly the nodes of
         # the wishes it conceals

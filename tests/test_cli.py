@@ -298,6 +298,17 @@ class TestWildcard:
             "error: mechanism 'ls:q=*' uses q=* but instance rand-n6-k3-p0.5-s1 has no q\n"
         )
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_rejects_a_wildcard_other_than_q(self, tmp_path, capsys, command):
+        # only q is read from the instance: opt:l=* must not run opt:l=2
+        target = "gbad:q=2"
+        if command == "solve":
+            target = str(gen_file(tmp_path, target))
+            capsys.readouterr()
+        code, out, err = run(capsys, command, target, "opt:l=*")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "l=*" in err
+
 
 class TestSweep:
     def test_tightness_family(self, tmp_path, capsys):

@@ -95,6 +95,22 @@ class TestAllForQ:
             assert apply_rule(expansion_rule(), g, blue) is None
             assert apply_rule(all_for_q_rule(q), g, blue) is None
 
+    def test_eviction_budget_skips_a_heavier_swap_of_q_plus_1(self):
+        # each pool node evicts at most q = 2 current nodes, and x alone only
+        # breaks even; {x, y}, the first X in node order that outweighs what
+        # it evicts, evicts all three, so the answer is the later swap to y
+        lam = LengthFunction.of(3, "1", "3/10")
+        c1, c2, c3 = TradingCycle((1, 2, 3)), TradingCycle((4, 5, 6)), TradingCycle((7, 8, 9))
+        x, y = TradingCycle((1, 10, 11)), TradingCycle((4, 7))
+        g = build_graph([c1, c2, c3, x, y], 11, lam, node_order=[x, y, c1, c2, c3])
+        current = g.mask_of({c1, c2, c3})
+        expect = g.mask_of({c1, y})
+        swap = all_for_q_rule(2, require_loyalty=False)
+        assert apply_rule(swap, g, current) == expect
+        assert reference_all_for_q(g, g.set_of(current), 2, False) == g.set_of(expect)
+        wider = all_for_q_rule(3, require_loyalty=False)
+        assert apply_rule(wider, g, current) == g.mask_of({x, y})
+
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             all_for_q_rule(0)

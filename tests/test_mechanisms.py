@@ -381,6 +381,8 @@ class TestSpecParsing:
         # bare spec has none
         with pytest.raises(ValueError, match=r"^wildcard q=\* needs an instance that records q$"):
             parse_mechanism("ls:q=*")
+        with pytest.raises(ValueError, match=r"^wildcard l=\*: only q=\* can be bound"):
+            parse_mechanism("opt:l=*")
 
     @pytest.mark.parametrize("spec", ["io", "opt:l=3", "rand:zeta=1/2:base=io"])
     def test_node_cap_reaches_exact_solves(self, spec):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bxmech.core import LengthFunction, TradingCycle
+from bxmech.core import LengthFunction, TradingCycle, WishListVector
 from bxmech.cyclegraph import bits, build_from_wishes, build_graph
 from bxmech.exact import ExactSearchCapExceeded, naive_max_weight_independent_set
 from bxmech.instances import (
@@ -304,18 +304,20 @@ class TestWishlistFuzz:
 
 def reference_wishlist_fuzz(solver, true_wishes, lam, budget, seed, exhaustive_limit, node_order):
     """fuzz_truthfulness_wishlists as it built a frozenset of the reported
-    wishes for every strategy and scanned the agent's arcs against it."""
+    wishes for every strategy and scanned the agent's arcs against it.  An
+    agent on no cycle is skipped, as the node fuzzer skips her: every report
+    of hers hides nothing."""
     graph = build_from_wishes(true_wishes, lam, node_order)
     base = solver(graph)
     findings = []
     for agent in range(1, true_wishes.n + 1):
-        full = sorted(true_wishes.of(agent))
-        if not full:
-            continue
         own = graph.agent_mask(agent)
-        honest = graph_utility(graph, base, agent)
-        if own and honest >= max(lam(v.length) for v in graph.nodes_of(own)):
+        if not own:
             continue
+        honest = graph_utility(graph, base, agent)
+        if honest >= max(lam(v.length) for v in graph.nodes_of(own)):
+            continue
+        full = sorted(true_wishes.of(agent))
         arcs = [(1 << i, v.successor(agent)) for i, v in zip(bits(own), graph.nodes_of(own))]
         rng = random.Random(_derive_seed(seed, agent, 2))
         m = len(full)
@@ -400,6 +402,21 @@ def test_kill_masks_match_the_reported_set_scan(data):
     )
     assert mine == expect
     assert calls["fuzzer"] == calls["reference"]
+
+
+def test_wishlist_fuzz_skips_an_agent_on_no_cycle():
+    # agents 1 and 2 trade on the one cycle and are at their best; agent 3
+    # wishes for 1 but is on no cycle, so no report of hers can hide a node:
+    # the honest solve is the only solver call
+    wishes = WishListVector.from_dict(3, {1: [2], 2: [1], 3: [1]})
+    seen = []
+
+    def solver(graph):
+        seen.append(graph._alive)
+        return greedy_mechanism().solve(graph)
+
+    assert fuzz_truthfulness_wishlists(solver, wishes, UNIFORM3) == []
+    assert len(seen) == 1
 
 
 class TestInpa:

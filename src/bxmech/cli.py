@@ -289,6 +289,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     override_bound = None if args.bound is None else parse_rational(args.bound, "--bound")
+    # an oracle/mechanism ratio is at least 1, so a lower bound flags every row
+    if override_bound is not None and override_bound < 1:
+        raise UsageError(f"--bound must be at least 1, got {args.bound}")
     rows: list[dict] = []
     violation = False
     for gen_spec in expand_generator_family(args.family):

@@ -16,15 +16,17 @@ choice made by the search rules refers to this order.  Inside the library a
 set of nodes is an int mask, bit i meaning node i of the built graph:
 adjacency is stored that way, and the rules, the solvers and
 :meth:`CycleGraph.remove_nodes` take and return masks.  Frozensets of
-cycles appear only at the API, through ``mask_of``, ``nodes_of`` and
-``set_of``.
+cycles appear only at the API, through ``mask_of``, ``nodes_of``,
+``set_of`` and ``checked_set``.
 
 :func:`build_graph` computes its tables once, in one :class:`GraphTables`:
 the nodes, ranks, adjacency, agent, length and value-class masks, each
-node's agents as a bitmask, the scaled weights and utilities, and the
-exact-solve memo.  A :class:`CycleGraph` is
-those shared tables plus a mask of alive nodes, so removing nodes rebuilds
-nothing: the restricted graph is the same tables with a smaller mask.
+node's agents as a bitmask, the scaled weights and utilities, and two
+tables filled as the build is used: the exact-solve memo and the checked
+answers (each independent mask handed out as a frozenset, built once).  A
+:class:`CycleGraph` is those shared tables plus a mask of alive nodes, so
+removing nodes rebuilds nothing: the restricted graph is the same tables
+with a smaller mask.
 """
 
 from __future__ import annotations
@@ -98,8 +100,12 @@ class GraphTables:
     each agent a of node i.
 
     ``solved`` memoises :func:`bxmech.exact.max_weight_independent_set`: it
-    maps an alive node mask to the solver's answer mask.  It starts empty and
-    lives exactly as long as the build.
+    maps an alive node mask to the solver's answer mask.  ``checked`` maps
+    each mask that :meth:`CycleGraph.checked_set` has found independent to
+    its frozenset of cycles.  Independence of a mask depends on ``adj``
+    alone, so one entry serves every restriction; whether its nodes are
+    alive does not, and is tested on every call.  Both start empty and live
+    exactly as long as the build.
     """
 
     n: int
@@ -115,6 +121,7 @@ class GraphTables:
     utility: Mapping[int, int]
     scale: int
     solved: dict[int, int]
+    checked: dict[int, IndependentSet]
 
 
 class CycleGraph:
@@ -124,8 +131,8 @@ class CycleGraph:
     Construct through :func:`build_graph`.  :meth:`remove_nodes` returns the
     same tables with a smaller alive mask, and every query answers for the
     alive nodes only.  Two graphs are equal when they have the same agent
-    count, length function, node order and alive mask; the exact-solve memo
-    takes no part.  Do not assign to either field: the tables are shared.
+    count, length function, node order and alive mask; the tables filled by
+    use take no part.  Do not assign to either field: the tables are shared.
 
     The rank of a node is its index in the built graph.  On a restricted
     graph the ranks may skip numbers, but they keep the order, so ranks
@@ -224,6 +231,20 @@ class CycleGraph:
     def is_independent_mask(self, mask: int) -> bool:
         """Whether ``mask`` holds alive nodes only, no two of them adjacent."""
         return not (mask & ~self._alive or mask & self.neighborhood_mask(mask))
+
+    def checked_set(self, mask: int) -> IndependentSet | None:
+        """``set_of(mask)`` when ``mask`` is an independent set of alive
+        nodes, else None.  The set is built once per build, on the first
+        call that finds ``mask`` independent, and handed out again after."""
+        if mask & ~self._alive:
+            return None
+        checked = self._tables.checked
+        found = checked.get(mask)
+        if found is None:
+            if mask & self.neighborhood_mask(mask):
+                return None
+            found = checked[mask] = self.set_of(mask)
+        return found
 
     def agents_of(self, nodes: Iterable[TradingCycle]) -> frozenset[int]:
         out: set[int] = set()
@@ -325,6 +346,7 @@ def build_graph(
         utility=utility,
         scale=scale,
         solved={},
+        checked={},
     )
     return CycleGraph(tables, (1 << len(ordered)) - 1)
 

@@ -211,7 +211,8 @@ class Mechanism:
     """A named solver plus its advertised guarantee.
 
     ``solver`` returns a node mask.  ``solve`` (alias ``run``) re-checks
-    that the mask is independent and returns its set of cycles.
+    that the mask is independent and returns its set of cycles, read from
+    the build's table of checked answers (:meth:`CycleGraph.checked_set`).
     """
 
     name: str
@@ -223,10 +224,10 @@ class Mechanism:
     def solve(
         self, graph: CycleGraph, stats: SearchStats | None = None
     ) -> IndependentSet:
-        result = self.solver(graph, stats)
-        if not graph.is_independent_mask(result):
+        chosen = graph.checked_set(self.solver(graph, stats))
+        if chosen is None:
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
-        return graph.set_of(result)
+        return chosen
 
     run = solve
 

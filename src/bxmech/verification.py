@@ -38,7 +38,10 @@ def oracle_max_weight_is(
     matter how many nodes they have; otherwise the node count must stay
     under ``node_cap``, or :class:`ExactSearchCapExceeded` is raised.
     """
-    return graph.set_of(max_weight_independent_set(graph, node_cap=node_cap))
+    chosen = graph.checked_set(max_weight_independent_set(graph, node_cap=node_cap))
+    if chosen is None:
+        raise RuntimeError("oracle produced a dependent set; oracle bug")
+    return chosen
 
 
 def graph_utility(graph: CycleGraph, chosen: IndependentSet, agent: int) -> Fraction:
@@ -53,7 +56,7 @@ def _scaled_utility(utility: Mapping[int, int], chosen: IndependentSet, agent: i
     utility table: the fuzzers compare utilities as these ints."""
     for v in chosen:
         if agent in v.agents:
-            return utility[len(v.agents)]
+            return utility[v.length]
     return 0
 
 

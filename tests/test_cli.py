@@ -338,6 +338,19 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "gbad:q=1", "ls:q=*", "--bound", "5/2")
         assert code == 0 and out.splitlines()[1].split(",")[5] == "5/2"
 
+    def test_bound_below_one_exits_one(self, capsys):
+        # a ratio is never below 1, so such a bound would flag optimal rows
+        for bound in ("0", "-1", "1/2", "99/100"):
+            code, out, err = run(
+                capsys, "sweep", "rand:n=5,k=3,p=0.5,seed=1", "greedy", "--bound", bound
+            )
+            assert code == 1 and out == ""
+            assert err == f"error: --bound must be at least 1, got {bound}\n"
+        code, out, _ = run(
+            capsys, "sweep", "rand:n=5,k=3,p=0.5,seed=1", "greedy", "--bound", "1"
+        )
+        assert code == 0 and out.splitlines()[1].split(",")[5:7] == ["1/1", "true"]
+
     def test_oracle_over_cap_exits_one(self, capsys):
         code, out, err = run(
             capsys, "sweep", "rand:n=24,k=3,p=0.3,seed=1", "greedy", "--oracle-cap", "10"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bxmech.core import Exchange, LengthFunction, TradingCycle, WishListVector, respects
 from bxmech.cyclegraph import build_from_wishes, build_graph
-from bxmech.exact import ExactSearchCapExceeded
+from bxmech.exact import ExactSearchCapExceeded, max_weight_independent_set
 from bxmech.instances import (
     comb_horizontal_cycle,
     gbad_blue_set,
@@ -20,6 +20,7 @@ from bxmech.instances import (
 from bxmech.localsearch import SearchStats, all_for_q_rule, expansion_rule
 from bxmech.mechanisms import (
     Mechanism,
+    broken_swap_algorithm,
     catalog,
     concatenate,
     greedy_mechanism,
@@ -459,3 +460,92 @@ def test_restricted_graph_matches_rebuilt_graph(case, seed, data):
         for m in mechanisms:
             assert m.solve(view) == m.solve(rebuilt), m.name
         assert oracle_max_weight_is(view) == oracle_max_weight_is(rebuilt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            (3, 0.5, ("1", "2/3")),
+            (3, 0.6, ("5/6", "3/7")),
+            (4, 0.35, ("1", "2/3", "3/7")),
+            (4, 0.4, ("1", "5/6", "3/4")),
+        ]
+    ),
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+def test_solve_reads_each_answer_from_the_build_table(case, seed, data):
+    # solve's set is the solver's mask as a set, on the build and on every
+    # restriction of it; each answer is built once per build, so an answer
+    # met again, on any restriction, comes back as the same object
+    k, p, values = case
+    lam = LengthFunction.of(k, *values)
+    graph = gen_random(7, k, p, seed, lam=lam).graph()
+    order = data.draw(st.permutations(graph.nodes))
+    view = build_graph(graph.nodes, graph.n, lam, node_order=order)
+    mechanisms = catalog() + [broken_swap_algorithm(1), broken_swap_algorithm(2)]
+    mechanisms += [opt_mechanism(ell) for ell in range(2, k + 1)]
+    seen = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        for m in mechanisms:
+            mask = m.solver(view)
+            chosen = m.solve(view)
+            assert chosen == view.set_of(mask), m.name
+            assert chosen is seen.setdefault(mask, chosen) and m.solve(view) is chosen
+        best = oracle_max_weight_is(view)
+        assert best == view.set_of(max_weight_independent_set(view))
+        assert best is seen.setdefault(view.mask_of(best), best)
+        assert view._tables.checked == seen
+        if not view.nodes:
+            break
+        dropped = data.draw(st.sets(st.sampled_from(view.nodes), min_size=1, max_size=4))
+        view = view.remove_nodes(view.mask_of(dropped))
+
+
+def fixed(mask):
+    """A mechanism whose solver answers ``mask`` on every graph."""
+    return Mechanism(
+        name="fixed", params={}, truthful_for="none", solver=lambda graph, stats=None: mask
+    )
+
+
+def triangle():
+    """The graph of three agents who each wish for the other two."""
+    return build_from_wishes(
+        WishListVector.from_dict(3, {a: {1, 2, 3} - {a} for a in (1, 2, 3)}), UNIFORM3
+    )
+
+
+def test_dependent_answer_raises_every_time_and_is_never_stored():
+    g = triangle()
+    dependent = g.mask_of([TradingCycle((1, 2)), TradingCycle((1, 3))])
+    view = g.remove_nodes(g._alive & ~dependent)
+    for graph in (g, g, view, view):
+        with pytest.raises(RuntimeError, match="mechanism fixed produced a dependent set"):
+            fixed(dependent).solve(graph)
+        assert g._tables.checked == {}
+
+
+def test_stored_answer_raises_once_a_node_of_it_is_removed():
+    two_pairs = WishListVector.from_dict(4, {1: {2}, 2: {1}, 3: {4}, 4: {3}})
+    g = build_from_wishes(two_pairs, UNIFORM3)
+    both = g._alive
+    chosen = fixed(both).solve(g)
+    assert chosen == set(g.nodes) and g._tables.checked == {both: chosen}
+    for dropped in g.nodes:
+        view = g.remove_nodes(g.mask_of([dropped]))
+        with pytest.raises(RuntimeError, match="dependent set"):
+            fixed(both).solve(view)
+        assert fixed(view._alive).solve(view) == set(view.nodes)
+    assert fixed(both).solve(g) is chosen
+
+
+def test_oracle_rejects_a_dependent_answer(monkeypatch):
+    g = triangle()
+    dependent = g.mask_of([TradingCycle((1, 2)), TradingCycle((1, 3))])
+    monkeypatch.setattr(
+        "bxmech.verification.max_weight_independent_set", lambda graph, node_cap: dependent
+    )
+    with pytest.raises(RuntimeError, match="oracle produced a dependent set"):
+        oracle_max_weight_is(g)

@@ -21,12 +21,14 @@ cycles appear only at the API, through ``mask_of``, ``nodes_of``,
 
 :func:`build_graph` computes its tables once, in one :class:`GraphTables`:
 the nodes, ranks, adjacency, agent, length and value-class masks, each
-node's agents as a bitmask, the scaled weights and utilities, and two
-tables filled as the build is used: the exact-solve memo and the checked
-answers (each independent mask handed out as a frozenset, built once).  A
-:class:`CycleGraph` is those shared tables plus a mask of alive nodes, so
-removing nodes rebuilds nothing: the restricted graph is the same tables
-with a smaller mask.
+node's agents as a bitmask, the scaled weights and utilities, and three
+tables filled as the build is used: the exact-solve memo, the checked
+answers (each independent mask handed out as a frozenset, built once) and
+the solve records of :meth:`bxmech.mechanisms.Mechanism.solve` (one per
+catalog solver, from which a solve on a restriction is answered without
+running).  A :class:`CycleGraph` is those shared tables plus a mask of
+alive nodes, so removing nodes rebuilds nothing: the restricted graph is
+the same tables with a smaller mask.
 """
 
 from __future__ import annotations
@@ -104,8 +106,12 @@ class GraphTables:
     each mask that :meth:`CycleGraph.checked_set` has found independent to
     its frozenset of cycles.  Independence of a mask depends on ``adj``
     alone, so one entry serves every restriction; whether its nodes are
-    alive does not, and is tested on every call.  Both start empty and live
-    exactly as long as the build.
+    alive does not, and is tested on every call.  ``recorded`` maps a
+    solver to the record ``(alive, footprint, answer)`` of one of its runs
+    on this build: the alive mask it ran on, every node the run ever added,
+    and its answer mask; :meth:`bxmech.mechanisms.Mechanism.solve` fills
+    and reads it.  All three start empty and live exactly as long as the
+    build.
     """
 
     n: int
@@ -122,6 +128,7 @@ class GraphTables:
     scale: int
     solved: dict[int, int]
     checked: dict[int, IndependentSet]
+    recorded: dict[object, tuple[int, int, int]]
 
 
 class CycleGraph:
@@ -347,6 +354,7 @@ def build_graph(
         scale=scale,
         solved={},
         checked={},
+        recorded={},
     )
     return CycleGraph(tables, (1 << len(ordered)) - 1)
 

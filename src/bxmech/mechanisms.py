@@ -3,11 +3,15 @@
 A solver maps a cycle graph (and an optional :class:`SearchStats`) to an
 independent set, given as a node mask of the graph (bit i is node i).  The
 building blocks are the greedy sweep, a local search over a rule list and
-the per-class exact solve; :func:`concatenate` chains two solvers, the
-second running on what the first output and its neighbors leave.  A
-:class:`Mechanism` packages a solver with its claimed approximation bound
-and the class of length functions it is truthful for, and hands its result
-out as a frozenset of cycles:
+the per-class exact solve; :func:`concatenate` chains two of them, the
+second running on what the first output and its neighbors leave.  Each
+block is :class:`Footprinted`: it also reports its footprint, every node
+its run ever added (the greedy picks, the union of the local search's
+steps, the exact solve's answer, the union of a concatenation's parts),
+and it is built once per parameter set.  A :class:`Mechanism` packages a
+solver with its claimed approximation bound and the class of length
+functions it is truthful for, and hands its result out as a frozenset of
+cycles:
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -27,8 +31,13 @@ out as a frozenset of cycles:
 
 Every one of them, the lottery included, is a :class:`Mechanism`.  A
 restricted solve runs on the graph with the other nodes removed
-(:meth:`CycleGraph.remove_nodes`).  The exact solves of ``io`` and ``opt``
-take the same ``node_cap`` as the oracle
+(:meth:`CycleGraph.remove_nodes`).  :meth:`Mechanism.solve` keeps one
+record per build and footprinted solver, of its run on some alive mask S,
+in the build's shared tables; a solve on an alive mask inside S that hides
+no node of the record's footprint returns the recorded answer without
+running (the proof is in its docstring).  A hand-written solver and the
+lottery report no footprint and always run.  The exact solves of ``io``
+and ``opt`` take the same ``node_cap`` as the oracle
 (:data:`bxmech.exact.EXACT_NODE_CAP` by default).
 
 ``rho`` is the tight truthfulness threshold computed from the length
@@ -41,6 +50,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -143,28 +153,49 @@ def _profile_of(lam: LengthFunction) -> LambdaProfile:
 Solver = Callable[..., int]
 
 
-def concatenate(head: Solver, tail: Solver) -> Solver:
+@dataclass(frozen=True, eq=False, slots=True)
+class Footprinted:
+    """A solver that also reports its footprint.
+
+    ``run(graph, stats)`` returns the answer mask and the footprint: the
+    mask of every node the run ever added.  Calling the object returns the
+    answer alone, so it is a :data:`Solver`.  The catalog's building blocks
+    are footprinted; each is built once per parameter set, so the object
+    can key the build's solve records (see :meth:`Mechanism.solve`).
+    """
+
+    run: Callable[[CycleGraph, SearchStats | None], tuple[int, int]]
+
+    def __call__(self, graph: CycleGraph, stats: SearchStats | None = None) -> int:
+        return self.run(graph, stats)[0]
+
+
+def concatenate(head: Footprinted, tail: Footprinted) -> Footprinted:
     """Run ``head``, delete its output and that output's neighbors, run
-    ``tail`` on the remainder, and return the union."""
+    ``tail`` on the remainder, and return the union.  The footprint is the
+    union of the two parts' footprints."""
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        first = head(graph, stats)
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
+        first, first_added = head.run(graph, stats)
         rest = graph.remove_nodes(first | graph.neighborhood_mask(first))
-        return first | tail(rest, stats)
+        second, second_added = tail.run(rest, stats)
+        return first | second, first_added | second_added
 
-    return run
+    return Footprinted(run)
 
 
-def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
+@cache
+def greedy_solver(lo: int = 2, hi: int | None = None) -> Footprinted:
     """Shortest cycles first over the lengths lo..hi (hi defaults to k).
 
     A single pass equivalent to concatenating expansion-only searches
     restricted to lengths lo, lo + 1, ..., hi: each phase adds, in node
     order, every node of its length still independent of the picks so far.
     So every node of length lo..hi ends up picked or adjacent to a pick.
+    The footprint is the picks.  Built once per (lo, hi) and shared.
     """
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
         adj = graph._tables.adj
         blocked = 0
         picks = 0
@@ -177,29 +208,57 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
                 cand &= ~blocked
                 if stats is not None:
                     stats.record(f"expand[len={j}]")
-        return picks
+        return picks, picks
 
-    return run
-
-
-def local_search(*rules: ImprovementRule) -> Solver:
-    """The local search over ``rules`` from the empty set."""
-
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        return run_local_search(graph, rules, stats).final
-
-    return run
+    return Footprinted(run)
 
 
-def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
-    """One exact solve restricted to the value class of length ``ell``."""
+def local_search(*rules: ImprovementRule) -> Footprinted:
+    """The local search over ``rules`` from the empty set.  The footprint
+    is the union of its steps' sets, so it holds the nodes a swap evicted."""
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        return max_weight_independent_set(
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
+        trace = run_local_search(graph, rules, stats)
+        return trace.final, reduce(or_, (step.result for step in trace.steps), 0)
+
+    return Footprinted(run)
+
+
+@cache
+def _ls_solver(q: int, require_loyalty: bool) -> Footprinted:
+    """The expansion and all-for-q search of ``ls`` and ``broken-swap``,
+    built once per (q, require_loyalty) and shared."""
+    return local_search(expansion_rule(), all_for_q_rule(q, require_loyalty))
+
+
+@cache
+def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Footprinted:
+    """One exact solve restricted to the value class of length ``ell``;
+    its footprint is its answer.  Built once per (ell, node_cap) and shared."""
+
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
+        answer = max_weight_independent_set(
             graph.remove_nodes(graph._alive & ~graph.class_mask(ell)), node_cap=node_cap
         )
+        return answer, answer
 
-    return run
+    return Footprinted(run)
+
+
+def _run(solver: Solver, graph: CycleGraph) -> tuple[int, int | None]:
+    """The solver's answer on ``graph`` and its footprint, None when the
+    solver reports none."""
+    if isinstance(solver, Footprinted):
+        return solver.run(graph, None)
+    return solver(graph), None
+
+
+def _covers(record: tuple[int, int, int], alive: int) -> bool:
+    """Whether a solve record ``(seen, footprint, answer)`` answers a solve
+    on ``alive``: the alive mask lies inside the recorded one and hides no
+    node of the footprint."""
+    seen, footprint, _ = record
+    return not alive & ~seen and not (seen & ~alive) & footprint
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +283,37 @@ class Mechanism:
     def solve(
         self, graph: CycleGraph, stats: SearchStats | None = None
     ) -> IndependentSet:
-        chosen = graph.checked_set(self.solver(graph, stats))
+        """The solver's answer on ``graph`` as a set of cycles.
+
+        Without ``stats``, a :class:`Footprinted` solver may answer from
+        the build's record of an earlier run (``GraphTables.recorded``,
+        shared by every restriction of the build): a run on alive mask S
+        that added the nodes F and answered A also answers A on every alive
+        mask M inside S that hides no node of F.  Each rule and greedy phase
+        takes the first passing candidate in node order, where passing
+        depends only on the candidate, the current set and the shared
+        tables, and each exact class solve takes the first optimum, which
+        stays optimal on a subgraph holding it.  Hiding nodes outside F
+        removes only candidates the run did not take, so the run on M takes
+        the same ones, step by step, and a concatenation's tail runs on its
+        graph on S less the same hidden nodes.  A solver keeps one record
+        per build, replaced only by a run on a strict superset of its mask.
+        A solver that reports no footprint, and any solve handed ``stats``,
+        runs in full, so its firings are recorded.
+        """
+        solver = self.solver
+        alive = graph._alive
+        recorded = graph._tables.recorded
+        record = recorded.get(solver) if stats is None else None
+        if record is not None and _covers(record, alive):
+            mask = record[2]
+        elif stats is not None:
+            mask = solver(graph, stats)
+        else:
+            mask, footprint = _run(solver, graph)
+            if footprint is not None and (record is None or not record[0] & ~alive):
+                recorded[solver] = (alive, footprint, mask)
+        chosen = graph.checked_set(mask)
         if chosen is None:
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
         return chosen
@@ -254,7 +343,7 @@ def ls_mechanism(q: int) -> Mechanism:
         name=f"ls:q={q}",
         params={"q": q},
         truthful_for="uniform",
-        solver=local_search(expansion_rule(), all_for_q_rule(q)),
+        solver=_ls_solver(q, True),
         claimed_bound=lambda lam: Fraction(lam.k - 1) + Fraction(1, q),
     )
 
@@ -269,12 +358,12 @@ def broken_swap_algorithm(q: int) -> Mechanism:
         name=f"broken-swap[q={q}]",
         params={"q": q},
         truthful_for="none",
-        solver=local_search(expansion_rule(), all_for_q_rule(q, require_loyalty=False)),
+        solver=_ls_solver(q, False),
     )
 
 
 @cache
-def _nu_solver(q: int, ell_star: int) -> Solver:
+def _nu_concatenation(q: int, ell_star: int) -> Footprinted:
     """nu's solver for one threshold, built once per (q, ell_star) and
     shared: solvers hold no state between calls."""
     # the greedy head picks or blocks every node of length <= ell_star, so
@@ -288,15 +377,23 @@ def _nu_solver(q: int, ell_star: int) -> Solver:
     return concatenate(greedy_solver(hi=ell_star), tail)
 
 
-def nu_mechanism(q: int) -> Mechanism:
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
+@cache
+def _nu_solver(q: int) -> Footprinted:
+    """nu's solver, built once per q and shared: the concatenation for the
+    threshold of the graph's length function."""
+
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
         ell_star = lambda_profile(graph.lam).ell_star
         if ell_star is None:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        return _nu_solver(q, ell_star)(graph, stats)
+        return _nu_concatenation(q, ell_star).run(graph, stats)
 
+    return Footprinted(run)
+
+
+def nu_mechanism(q: int) -> Mechanism:
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
         if profile.rho is None:
@@ -307,7 +404,7 @@ def nu_mechanism(q: int) -> Mechanism:
         name=f"nu:q={q}",
         params={"q": q},
         truthful_for="non-uniform",
-        solver=run,
+        solver=_nu_solver(q),
         claimed_bound=bound,
     )
 
@@ -322,16 +419,25 @@ def opt_mechanism(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
 
 
 @cache
-def _io_solver(tumbles: tuple[int, ...], node_cap: int | None) -> Solver:
+def _io_concatenation(tumbles: tuple[int, ...], node_cap: int | None) -> Footprinted:
     """io's solver for one set of tumble lengths, built once per
-    (tumbles, node_cap) and shared, as :func:`_nu_solver` is."""
+    (tumbles, node_cap) and shared, as :func:`_nu_concatenation` is."""
     return reduce(concatenate, [opt_class(ell, node_cap) for ell in tumbles])
 
 
-def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        return _io_solver(lambda_profile(graph.lam).tumbles, node_cap)(graph, stats)
+@cache
+def _io_solver(node_cap: int | None) -> Footprinted:
+    """io's solver, built once per node cap and shared: the concatenation
+    for the tumble lengths of the graph's length function."""
 
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
+        tumbles = lambda_profile(graph.lam).tumbles
+        return _io_concatenation(tumbles, node_cap).run(graph, stats)
+
+    return Footprinted(run)
+
+
+def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
         return profile.rho if profile.rho is not None else Fraction(1)
@@ -340,7 +446,7 @@ def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
         name="io",
         params={},
         truthful_for="any",
-        solver=run,
+        solver=_io_solver(node_cap),
         claimed_bound=bound,
     )
 

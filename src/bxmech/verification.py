@@ -53,7 +53,12 @@ def graph_utility(graph: CycleGraph, chosen: IndependentSet, agent: int) -> Frac
 
 def _scaled_utility(utility: Mapping[int, int], chosen: IndependentSet, agent: int) -> int:
     """:func:`graph_utility` times the build's scale, read from its scaled
-    utility table: the fuzzers compare utilities as these ints."""
+    utility table: the fuzzers compare utilities as these ints.
+
+    A mechanism's solve hands out one frozenset per answer mask and build
+    (:meth:`CycleGraph.checked_set`), so a strategy whose answer ``is`` the
+    honest one has the honest utility; the fuzzers test that first and
+    skip the scan."""
     for v in chosen:
         if agent in v.agents:
             return utility[v.length]
@@ -194,7 +199,10 @@ def fuzz_truthfulness_nodes(
             continue
         rng = random.Random(_derive_seed(seed, agent, 1))
         for subset in _node_subsets(own, budget, rng, exhaustive_limit):
-            manipulated = _scaled_utility(utility, solver(graph.remove_nodes(subset)), agent)
+            chosen = solver(graph.remove_nodes(subset))
+            if chosen is base:
+                continue
+            manipulated = _scaled_utility(utility, chosen, agent)
             if manipulated > honest:
                 findings.append(
                     ManipulationFinding(
@@ -262,10 +270,10 @@ def fuzz_truthfulness_wishlists(
             if removed in tried:
                 manipulated = tried[removed]
             else:
-                manipulated = _scaled_utility(
-                    utility, solver(graph.remove_nodes(removed)), agent
+                chosen = solver(graph.remove_nodes(removed))
+                manipulated = tried[removed] = (
+                    honest if chosen is base else _scaled_utility(utility, chosen, agent)
                 )
-                tried[removed] = manipulated
             if manipulated > honest:
                 findings.append(
                     ManipulationFinding(
@@ -298,7 +306,8 @@ def test_inpa(
             continue
         rng = random.Random(_derive_seed(seed, agent, 3))
         for subset in _node_subsets(own, budget, rng, exhaustive_limit):
-            if solver(graph.remove_nodes(subset)) != base:
+            chosen = solver(graph.remove_nodes(subset))
+            if chosen is not base and chosen != base:
                 return False
     return True
 

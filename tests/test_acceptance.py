@@ -19,7 +19,8 @@ import pytest
 
 from bxmech.cli import main as cli_main
 from bxmech.core import LengthFunction
-from bxmech.cyclegraph import CycleGraph, build_from_wishes
+from bxmech import mechanisms
+from bxmech.cyclegraph import CycleGraph, build_from_wishes, build_graph
 from bxmech.instances import (
     InstanceBundle,
     comb_horizontal_cycle,
@@ -256,7 +257,30 @@ def test_criterion_6_truthfulness_fuzz(corpus):
             assert findings, f"broken swap q={q} evaded the fuzzer"
 
 
+def _stability_checked(entry: Entry) -> list:
+    """The mechanisms criterion 7 checks for stability on ``entry``."""
+    checked = [greedy_phase(j) for j in range(2, entry.k + 1)]
+    checked.append(ls_mechanism(1))
+    checked += [opt_mechanism(ell) for ell in lambda_profile(entry.lam).tumbles]
+    if entry.kind != "uniform":
+        checked.append(nu_mechanism(1))
+    return checked
+
+
 def test_criterion_7_inpa_suite(corpus):
+    """Hiding a non-served agent's nodes never changes the output.
+
+    Every mechanism checked here runs loyal rules only (greedy phases, the
+    loyal q-swap search, exact class solves, and nu built from both), so an
+    agent not served at the end was served at no step of the run, and none
+    of the agent's nodes is in the base solve's footprint.  ``Mechanism.solve``
+    therefore answers every strategy ``test_inpa`` tries from the base
+    solve's record, without running the mechanism again: the stability this
+    criterion sees follows from the replay rule.  The evidence that the
+    replayed answers are the mechanisms' own comes from
+    ``test_criterion_7_strategies_replay_the_base_solve`` (a corpus slice
+    against a fresh build) and from ``tests/test_replay.py``.
+    """
     label = (
         "length-phased greedy, q-swap search, per-class exact solves, and nu "
         "are all stable against non-served agents; stability plus all-ones "
@@ -265,18 +289,9 @@ def test_criterion_7_inpa_suite(corpus):
     with report(7, label):
         budget, limit, seed = 12, 10, 77
         for entry in corpus:
-            solvers = [greedy_phase(j).run for j in range(2, entry.k + 1)]
-            ls = ls_mechanism(1)
-            solvers.append(lambda g, _m=ls: _m.solve(g))
-            for ell in lambda_profile(entry.lam).tumbles:
-                opt = opt_mechanism(ell)
-                solvers.append(lambda g, _m=opt: _m.solve(g))
-            if entry.kind != "uniform":
-                nu = nu_mechanism(1)
-                solvers.append(lambda g, _m=nu: _m.solve(g))
-            for solver in solvers:
+            for mech in _stability_checked(entry):
                 assert inpa_check(
-                    solver, entry.graph, budget=budget, seed=seed, exhaustive_limit=limit
+                    mech.solve, entry.graph, budget=budget, seed=seed, exhaustive_limit=limit
                 ), f"instability on {entry.name}"
         # consistency on the all-ones slice: stable algorithms cannot be
         # profitably manipulated by hiding nodes
@@ -289,6 +304,39 @@ def test_criterion_7_inpa_suite(corpus):
             assert not fuzz_truthfulness_nodes(
                 solver, entry.graph, budget=budget, seed=seed, exhaustive_limit=limit
             )
+
+
+def test_criterion_7_strategies_replay_the_base_solve(corpus, monkeypatch):
+    # on a seeded sixth of the corpus, criterion 7's stability check runs
+    # each mechanism once, on the whole graph, and answers every strategy
+    # from that run's record; each answer equals the solver's own run on a
+    # fresh build of the same cycles
+    budget, limit, seed = 12, 10, 77
+    runs = []
+    real_run = mechanisms._run
+    monkeypatch.setattr(
+        mechanisms, "_run", lambda solver, graph: runs.append(solver) or real_run(solver, graph)
+    )
+    replayed = 0
+    for entry in random.Random(7).sample(corpus, 84):
+        graph, fresh = (
+            build_graph(entry.graph.nodes, entry.bundle.n, entry.lam) for _ in range(2)
+        )
+        for mech in _stability_checked(entry):
+            answers = []
+
+            def solver(g, mech=mech, answers=answers):
+                answers.append((g._alive, mech.solve(g)))
+                return answers[-1][1]
+
+            runs.clear()
+            assert inpa_check(solver, graph, budget=budget, seed=seed, exhaustive_limit=limit)
+            assert runs == [mech.solver], f"{mech.name} on {entry.name}"
+            for alive, answer in answers[1:]:
+                view = fresh.remove_nodes(fresh._alive & ~alive)
+                assert answer == view.set_of(mech.solver(view)), f"{mech.name} on {entry.name}"
+            replayed += len(answers) - 1
+    assert replayed > 10_000
 
 
 def test_criterion_8_comb_forcing():

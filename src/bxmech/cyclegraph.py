@@ -25,10 +25,10 @@ node's agents as a bitmask, the scaled weights and utilities, and three
 tables filled as the build is used: the exact-solve memo, the checked
 answers (each independent mask handed out as a frozenset, built once) and
 the solve records of :meth:`bxmech.mechanisms.Mechanism.solve` (one per
-catalog solver, from which a solve on a restriction is answered without
-running).  A :class:`CycleGraph` is those shared tables plus a mask of
-alive nodes, so removing nodes rebuilds nothing: the restricted graph is
-the same tables with a smaller mask.
+solver, from which a solve on a restriction is answered without running).
+A :class:`CycleGraph` is those shared tables plus a mask of alive nodes, so
+removing nodes rebuilds nothing: the restricted graph is the same tables
+with a smaller mask.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class GraphTables:
     alone, so one entry serves every restriction; whether its nodes are
     alive does not, and is tested on every call.  ``recorded`` maps a
     solver to the record ``(alive, footprint, answer)`` of one of its runs
-    on this build: the alive mask it ran on, every node the run ever added,
-    and its answer mask; :meth:`bxmech.mechanisms.Mechanism.solve` fills
+    on this build: the alive mask it ran on, and the footprint and answer
+    masks the solver returned (a catalog solver's footprint is every node
+    its run ever added); :meth:`bxmech.mechanisms.Mechanism.solve` fills
     and reads it.  All three start empty and live exactly as long as the
     build.
     """

@@ -1,17 +1,17 @@
 """The mechanism catalog and the length-function profile quantities.
 
 A solver maps a cycle graph (and an optional :class:`SearchStats`) to an
-independent set, given as a node mask of the graph (bit i is node i).  The
-building blocks are the greedy sweep, a local search over a rule list and
-the per-class exact solve; :func:`concatenate` chains two of them, the
-second running on what the first output and its neighbors leave.  Each
-block is :class:`Footprinted`: it also reports its footprint, every node
-its run ever added (the greedy picks, the union of the local search's
-steps, the exact solve's answer, the union of a concatenation's parts),
-and it is built once per parameter set.  A :class:`Mechanism` packages a
-solver with its claimed approximation bound and the class of length
-functions it is truthful for, and hands its result out as a frozenset of
-cycles:
+independent set and its footprint, both as node masks of the graph (bit i
+is node i); hiding nodes outside the footprint leaves the answer as it is.
+The building blocks are the greedy sweep, a local search over a rule list
+and the per-class exact solve; :func:`concatenate` chains two of them, the
+second running on what the first output and its neighbors leave.  A
+block's footprint is every node its run ever added (the greedy picks, the
+union of the local search's steps, the exact solve's answer, the union of
+a concatenation's parts); each block is built once per parameter set.  A
+:class:`Mechanism` packages a solver with its claimed approximation bound
+and the class of length functions it is truthful for, and hands its
+result out as a frozenset of cycles:
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -32,13 +32,12 @@ cycles:
 Every one of them, the lottery included, is a :class:`Mechanism`.  A
 restricted solve runs on the graph with the other nodes removed
 (:meth:`CycleGraph.remove_nodes`).  :meth:`Mechanism.solve` keeps one
-record per build and footprinted solver, of its run on some alive mask S,
-in the build's shared tables; a solve on an alive mask inside S that hides
-no node of the record's footprint returns the recorded answer without
-running (the proof is in its docstring).  A hand-written solver and the
-lottery report no footprint and always run.  The exact solves of ``io``
-and ``opt`` take the same ``node_cap`` as the oracle
-(:data:`bxmech.exact.EXACT_NODE_CAP` by default).
+record per build and solver, of its run on some alive mask S, in the
+build's shared tables; a solve on an alive mask inside S that hides no node
+of the record's footprint returns the recorded answer without running (the
+proof, and the contract of a hand-written solver, are in its docstring).
+The exact solves of ``io`` and ``opt`` take the same ``node_cap`` as the
+oracle (:data:`bxmech.exact.EXACT_NODE_CAP` by default).
 
 ``rho`` is the tight truthfulness threshold computed from the length
 function; see :func:`lambda_profile`.
@@ -148,44 +147,27 @@ def _profile_of(lam: LengthFunction) -> LambdaProfile:
 
 
 # ---------------------------------------------------------------------------
-# solver building blocks: (graph, stats=None) -> node mask of an independent set
+# solver building blocks: (graph, stats=None) -> (answer mask, footprint mask)
 
-Solver = Callable[..., int]
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class Footprinted:
-    """A solver that also reports its footprint.
-
-    ``run(graph, stats)`` returns the answer mask and the footprint: the
-    mask of every node the run ever added.  Calling the object returns the
-    answer alone, so it is a :data:`Solver`.  The catalog's building blocks
-    are footprinted; each is built once per parameter set, so the object
-    can key the build's solve records (see :meth:`Mechanism.solve`).
-    """
-
-    run: Callable[[CycleGraph, SearchStats | None], tuple[int, int]]
-
-    def __call__(self, graph: CycleGraph, stats: SearchStats | None = None) -> int:
-        return self.run(graph, stats)[0]
+Solver = Callable[..., tuple[int, int]]
 
 
-def concatenate(head: Footprinted, tail: Footprinted) -> Footprinted:
+def concatenate(head: Solver, tail: Solver) -> Solver:
     """Run ``head``, delete its output and that output's neighbors, run
     ``tail`` on the remainder, and return the union.  The footprint is the
     union of the two parts' footprints."""
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
-        first, first_added = head.run(graph, stats)
+        first, first_added = head(graph, stats)
         rest = graph.remove_nodes(first | graph.neighborhood_mask(first))
-        second, second_added = tail.run(rest, stats)
+        second, second_added = tail(rest, stats)
         return first | second, first_added | second_added
 
-    return Footprinted(run)
+    return run
 
 
 @cache
-def greedy_solver(lo: int = 2, hi: int | None = None) -> Footprinted:
+def greedy_solver(lo: int = 2, hi: int | None = None) -> Solver:
     """Shortest cycles first over the lengths lo..hi (hi defaults to k).
 
     A single pass equivalent to concatenating expansion-only searches
@@ -210,10 +192,10 @@ def greedy_solver(lo: int = 2, hi: int | None = None) -> Footprinted:
                     stats.record(f"expand[len={j}]")
         return picks, picks
 
-    return Footprinted(run)
+    return run
 
 
-def local_search(*rules: ImprovementRule) -> Footprinted:
+def local_search(*rules: ImprovementRule) -> Solver:
     """The local search over ``rules`` from the empty set.  The footprint
     is the union of its steps' sets, so it holds the nodes a swap evicted."""
 
@@ -221,18 +203,18 @@ def local_search(*rules: ImprovementRule) -> Footprinted:
         trace = run_local_search(graph, rules, stats)
         return trace.final, reduce(or_, (step.result for step in trace.steps), 0)
 
-    return Footprinted(run)
+    return run
 
 
 @cache
-def _ls_solver(q: int, require_loyalty: bool) -> Footprinted:
+def _ls_solver(q: int, require_loyalty: bool) -> Solver:
     """The expansion and all-for-q search of ``ls`` and ``broken-swap``,
     built once per (q, require_loyalty) and shared."""
     return local_search(expansion_rule(), all_for_q_rule(q, require_loyalty))
 
 
 @cache
-def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Footprinted:
+def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Solver:
     """One exact solve restricted to the value class of length ``ell``;
     its footprint is its answer.  Built once per (ell, node_cap) and shared."""
 
@@ -242,15 +224,7 @@ def opt_class(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Footprinted:
         )
         return answer, answer
 
-    return Footprinted(run)
-
-
-def _run(solver: Solver, graph: CycleGraph) -> tuple[int, int | None]:
-    """The solver's answer on ``graph`` and its footprint, None when the
-    solver reports none."""
-    if isinstance(solver, Footprinted):
-        return solver.run(graph, None)
-    return solver(graph), None
+    return run
 
 
 def _covers(record: tuple[int, int, int], alive: int) -> bool:
@@ -269,9 +243,9 @@ def _covers(record: tuple[int, int, int], alive: int) -> bool:
 class Mechanism:
     """A named solver plus its advertised guarantee.
 
-    ``solver`` returns a node mask.  ``solve`` (alias ``run``) re-checks
-    that the mask is independent and returns its set of cycles, read from
-    the build's table of checked answers (:meth:`CycleGraph.checked_set`).
+    ``solver`` returns an answer mask and its footprint; ``solve`` (or
+    ``run``) re-checks that the answer is independent and returns its set
+    of cycles from the build's table (:meth:`CycleGraph.checked_set`).
     """
 
     name: str
@@ -285,21 +259,25 @@ class Mechanism:
     ) -> IndependentSet:
         """The solver's answer on ``graph`` as a set of cycles.
 
-        Without ``stats``, a :class:`Footprinted` solver may answer from
-        the build's record of an earlier run (``GraphTables.recorded``,
-        shared by every restriction of the build): a run on alive mask S
-        that added the nodes F and answered A also answers A on every alive
-        mask M inside S that hides no node of F.  Each rule and greedy phase
-        takes the first passing candidate in node order, where passing
-        depends only on the candidate, the current set and the shared
-        tables, and each exact class solve takes the first optimum, which
-        stays optimal on a subgraph holding it.  Hiding nodes outside F
-        removes only candidates the run did not take, so the run on M takes
-        the same ones, step by step, and a concatenation's tail runs on its
-        graph on S less the same hidden nodes.  A solver keeps one record
-        per build, replaced only by a run on a strict superset of its mask.
-        A solver that reports no footprint, and any solve handed ``stats``,
-        runs in full, so its firings are recorded.
+        Without ``stats``, the solve may answer from the build's record of
+        an earlier run of the same solver (``GraphTables.recorded``, shared
+        by every restriction of the build): a run on alive mask S that
+        answered A with footprint F also answers A on every alive mask M
+        inside S that hides no node of F.  A catalog block's F is every node
+        its run added.  Each rule and greedy phase takes the first passing
+        candidate in node order, where passing depends only on the
+        candidate, the current set and the shared tables, and each exact
+        class solve takes the first optimum, which stays optimal on a
+        subgraph holding it.  Hiding nodes outside F removes only candidates
+        the run did not take, so the run on M takes the same ones, step by
+        step, and a concatenation's tail runs on its graph on S less the
+        same hidden nodes.  A solver keeps one record per build, replaced
+        only by a run on a strict superset of its mask.  A solve handed
+        ``stats`` runs in full, so its firings are recorded.
+
+        A hand-written solver must be a function of its graph.  One that can
+        name no smaller footprint returns ``graph._alive``, which replays
+        only on the same alive mask.
         """
         solver = self.solver
         alive = graph._alive
@@ -307,18 +285,17 @@ class Mechanism:
         record = recorded.get(solver) if stats is None else None
         if record is not None and _covers(record, alive):
             mask = record[2]
-        elif stats is not None:
-            mask = solver(graph, stats)
         else:
-            mask, footprint = _run(solver, graph)
-            if footprint is not None and (record is None or not record[0] & ~alive):
+            mask, footprint = solver(graph, stats)
+            if stats is None and (record is None or not record[0] & ~alive):
                 recorded[solver] = (alive, footprint, mask)
         chosen = graph.checked_set(mask)
         if chosen is None:
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
         return chosen
 
-    run = solve
+    # looked up on each access, so a patched ``solve`` is seen through it
+    run = property(lambda self: self.solve)
 
 
 def greedy_mechanism() -> Mechanism:
@@ -363,7 +340,7 @@ def broken_swap_algorithm(q: int) -> Mechanism:
 
 
 @cache
-def _nu_concatenation(q: int, ell_star: int) -> Footprinted:
+def _nu_concatenation(q: int, ell_star: int) -> Solver:
     """nu's solver for one threshold, built once per (q, ell_star) and
     shared: solvers hold no state between calls."""
     # the greedy head picks or blocks every node of length <= ell_star, so
@@ -378,7 +355,7 @@ def _nu_concatenation(q: int, ell_star: int) -> Footprinted:
 
 
 @cache
-def _nu_solver(q: int) -> Footprinted:
+def _nu_solver(q: int) -> Solver:
     """nu's solver, built once per q and shared: the concatenation for the
     threshold of the graph's length function."""
 
@@ -388,9 +365,9 @@ def _nu_solver(q: int) -> Footprinted:
             raise ValueError(
                 "nu is undefined for a constant length function; use ls instead"
             )
-        return _nu_concatenation(q, ell_star).run(graph, stats)
+        return _nu_concatenation(q, ell_star)(graph, stats)
 
-    return Footprinted(run)
+    return run
 
 
 def nu_mechanism(q: int) -> Mechanism:
@@ -419,22 +396,22 @@ def opt_mechanism(ell: int, node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
 
 
 @cache
-def _io_concatenation(tumbles: tuple[int, ...], node_cap: int | None) -> Footprinted:
+def _io_concatenation(tumbles: tuple[int, ...], node_cap: int | None) -> Solver:
     """io's solver for one set of tumble lengths, built once per
     (tumbles, node_cap) and shared, as :func:`_nu_concatenation` is."""
     return reduce(concatenate, [opt_class(ell, node_cap) for ell in tumbles])
 
 
 @cache
-def _io_solver(node_cap: int | None) -> Footprinted:
+def _io_solver(node_cap: int | None) -> Solver:
     """io's solver, built once per node cap and shared: the concatenation
     for the tumble lengths of the graph's length function."""
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
         tumbles = lambda_profile(graph.lam).tumbles
-        return _io_concatenation(tumbles, node_cap).run(graph, stats)
+        return _io_concatenation(tumbles, node_cap)(graph, stats)
 
-    return Footprinted(run)
+    return run
 
 
 def io_mechanism(node_cap: int | None = EXACT_NODE_CAP) -> Mechanism:
@@ -461,27 +438,25 @@ def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanis
     that length, in (length, sequence) order (the empty set when the class
     is empty).
 
-    The base runs on the graph it is given, so it keeps that graph's node
-    order and tie-breaks; it runs without ``stats``, so a lottery solve
-    records no firings.  The draw is exact: a uniform integer below the
-    denominator of zeta, so the branch probability is the stated rational,
-    not a float approximation.  Every solve starts from ``seed``, so the
-    mechanism is deterministic.  Its ratio holds only in expectation, so it
-    claims no bound.
+    The base runs on the graph it is given, with its footprint and without
+    ``stats``, so a lottery solve records no firings.  The draw is exact (a
+    uniform integer below zeta's denominator, not a float).  Every solve
+    starts from ``seed``, so the mechanism is deterministic: the branch and
+    the length depend on the graph only through k, and the drawn node only
+    through the pool of alive nodes of that length, the draw's footprint.
+    Its ratio holds only in expectation, so it claims no bound.
     """
     if not 0 < zeta < 1:
         raise ValueError(f"zeta must lie strictly between 0 and 1, got {zeta}")
 
-    def run(graph: CycleGraph, stats: SearchStats | None = None) -> int:
+    def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
         rng = random.Random(seed)
         if rng.randrange(zeta.denominator) < zeta.numerator:
-            length = rng.randrange(2, graph.k + 1)
-            nodes = graph._tables.nodes
-            pool = sorted(
-                bits(graph.length_mask(length)), key=lambda i: cycle_sort_key(nodes[i])
-            )
-            return 1 << pool[rng.randrange(len(pool))] if pool else 0
-        return base.solver(graph)
+            pool = graph.length_mask(rng.randrange(2, graph.k + 1))
+            order = sorted(bits(pool), key=lambda i: cycle_sort_key(graph._tables.nodes[i]))
+            pick = 1 << order[rng.randrange(len(order))] if order else 0
+            return pick, pool
+        return base.solver(graph, None)
 
     return Mechanism(
         name=f"rand:zeta={zeta.numerator}/{zeta.denominator}:base={base.name}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     LengthFunction,
@@ -173,6 +173,20 @@ def _node_subsets(
         yield sum(node_bits[i] for i in bits(pick))
 
 
+def _unsaturated(graph: CycleGraph, base: IndependentSet) -> Iterator[tuple[int, int, int]]:
+    """``(agent, own node mask, honest scaled utility)`` for each agent a
+    fuzzer attacks.  An agent with no node, or already at her best node's
+    value in ``base``, is skipped: hiding can only yield nodes of hers."""
+    utility = graph._tables.utility
+    for agent in range(1, graph.n + 1):
+        own = graph.agent_mask(agent)
+        if not own:
+            continue
+        honest = _scaled_utility(utility, base, agent)
+        if honest < max(utility[v.length] for v in graph.nodes_of(own)):
+            yield agent, own, honest
+
+
 def fuzz_truthfulness_nodes(
     solver: Solver,
     graph: CycleGraph,
@@ -183,20 +197,12 @@ def fuzz_truthfulness_nodes(
     """Search for an agent who profits from hiding some of her nodes.
 
     All findings are reported, not just the first.  Agents already at their
-    best possible utility (the value of their shortest node) are skipped:
-    hiding nodes can only yield nodes they already partake in.
+    best possible utility (the value of their shortest node) are skipped.
     """
     base = solver(graph)
-    tables = graph._tables
-    utility, scale = tables.utility, tables.scale
+    utility, scale = graph._tables.utility, graph._tables.scale
     findings: list[ManipulationFinding] = []
-    for agent in range(1, graph.n + 1):
-        own = graph.agent_mask(agent)
-        if not own:
-            continue
-        honest = _scaled_utility(utility, base, agent)
-        if honest >= max(utility[v.length] for v in graph.nodes_of(own)):
-            continue
+    for agent, own, honest in _unsaturated(graph, base):
         rng = random.Random(_derive_seed(seed, agent, 1))
         for subset in _node_subsets(own, budget, rng, exhaustive_limit):
             chosen = solver(graph.remove_nodes(subset))
@@ -237,16 +243,9 @@ def fuzz_truthfulness_wishlists(
     """
     graph = build_from_wishes(true_wishes, lam, node_order)
     base = solver(graph)
-    tables = graph._tables
-    utility, scale = tables.utility, tables.scale
+    utility, scale = graph._tables.utility, graph._tables.scale
     findings: list[ManipulationFinding] = []
-    for agent in range(1, true_wishes.n + 1):
-        own = graph.agent_mask(agent)
-        if not own:
-            continue
-        honest = _scaled_utility(utility, base, agent)
-        if honest >= max(utility[v.length] for v in graph.nodes_of(own)):
-            continue
+    for agent, own, honest in _unsaturated(graph, base):
         full = sorted(true_wishes.of(agent))
         # kill[i]: the own nodes whose outgoing arc goes to wish full[i]; a
         # reported subset (bit i = full[i] kept) kills exactly the nodes of

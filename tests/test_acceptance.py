@@ -12,14 +12,13 @@ lines.
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
 from bxmech.cli import main as cli_main
 from bxmech.core import LengthFunction
-from bxmech import mechanisms
 from bxmech.cyclegraph import CycleGraph, build_from_wishes, build_graph
 from bxmech.instances import (
     InstanceBundle,
@@ -306,35 +305,33 @@ def test_criterion_7_inpa_suite(corpus):
             )
 
 
-def test_criterion_7_strategies_replay_the_base_solve(corpus, monkeypatch):
+def test_criterion_7_strategies_replay_the_base_solve(corpus):
     # on a seeded sixth of the corpus, criterion 7's stability check runs
     # each mechanism once, on the whole graph, and answers every strategy
     # from that run's record; each answer equals the solver's own run on a
     # fresh build of the same cycles
     budget, limit, seed = 12, 10, 77
-    runs = []
-    real_run = mechanisms._run
-    monkeypatch.setattr(
-        mechanisms, "_run", lambda solver, graph: runs.append(solver) or real_run(solver, graph)
-    )
     replayed = 0
     for entry in random.Random(7).sample(corpus, 84):
         graph, fresh = (
             build_graph(entry.graph.nodes, entry.bundle.n, entry.lam) for _ in range(2)
         )
         for mech in _stability_checked(entry):
-            answers = []
+            runs, answers = [], []
 
-            def solver(g, mech=mech, answers=answers):
+            def counted(g, stats=None, inner=mech.solver, runs=runs):
+                runs.append(g._alive)
+                return inner(g, stats)
+
+            def solver(g, mech=replace(mech, solver=counted), answers=answers):
                 answers.append((g._alive, mech.solve(g)))
                 return answers[-1][1]
 
-            runs.clear()
             assert inpa_check(solver, graph, budget=budget, seed=seed, exhaustive_limit=limit)
-            assert runs == [mech.solver], f"{mech.name} on {entry.name}"
+            assert runs == [graph._alive], f"{mech.name} on {entry.name}"
             for alive, answer in answers[1:]:
                 view = fresh.remove_nodes(fresh._alive & ~alive)
-                assert answer == view.set_of(mech.solver(view)), f"{mech.name} on {entry.name}"
+                assert answer == view.set_of(mech.solver(view)[0]), f"{mech.name} on {entry.name}"
             replayed += len(answers) - 1
     assert replayed > 10_000
 

@@ -409,7 +409,7 @@ def catalog_rule_lists(g, q):
     yield g, [expansion_rule(), all_for_q_rule(q, require_loyalty=False)]
     ell_star = lambda_profile(g.lam).ell_star
     if ell_star is not None:
-        first = greedy_solver(hi=ell_star)(g)
+        first = greedy_solver(hi=ell_star)(g)[0]
         rest = g.remove_nodes(first | g.neighborhood_mask(first))
         yield rest, [
             dataclasses.replace(rule, name=f"{rule.name}[>{ell_star}]")
@@ -550,12 +550,12 @@ class TestConcatenate:
         g = graph_of([(1, 2), (2, 3)], 3)
         first = greedy_phase(2).solver
         second = greedy_phase(2).solver
-        assert concatenate(first, second)(g) == first(g)
+        assert concatenate(first, second)(g)[0] == first(g)[0]
 
     def test_union_semantics(self):
         g = graph_of([(1, 2), (3, 4, 5)], 5)
         combined = concatenate(greedy_phase(2).solver, greedy_phase(3).solver)
-        assert g.set_of(combined(g)) == frozenset(g.nodes)
+        assert g.set_of(combined(g)[0]) == frozenset(g.nodes)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -177,7 +177,7 @@ class TestNu:
         order = data.draw(st.permutations(g.nodes))
         g = build_graph(g.nodes, n, g.lam, node_order=order)
         threshold = data.draw(st.integers(min_value=2, max_value=k))
-        picked = greedy_solver(hi=threshold)(g)
+        picked = greedy_solver(hi=threshold)(g)[0]
         rest = g.remove_nodes(picked | g.neighborhood_mask(picked))
         assert all(v.length > threshold for v in rest.nodes)
 
@@ -200,7 +200,7 @@ class TestNu:
                 )
                 mine, expected = SearchStats(), SearchStats()
                 out = mechs[q].solve(g, mine)
-                assert out == g.set_of(concatenate(greedy_solver(hi=ell_star), tail)(g, expected))
+                assert out == g.set_of(concatenate(greedy_solver(hi=ell_star), tail)(g, expected)[0])
                 assert mine == expected
 
     @settings(max_examples=25, deadline=None)
@@ -489,7 +489,7 @@ def test_solve_reads_each_answer_from_the_build_table(case, seed, data):
     seen = {}
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         for m in mechanisms:
-            mask = m.solver(view)
+            mask = m.solver(view)[0]
             chosen = m.solve(view)
             assert chosen == view.set_of(mask), m.name
             assert chosen is seen.setdefault(mask, chosen) and m.solve(view) is chosen
@@ -504,9 +504,12 @@ def test_solve_reads_each_answer_from_the_build_table(case, seed, data):
 
 
 def fixed(mask):
-    """A mechanism whose solver answers ``mask`` on every graph."""
+    """A mechanism whose hand-written solver answers ``mask`` on every graph."""
     return Mechanism(
-        name="fixed", params={}, truthful_for="none", solver=lambda graph, stats=None: mask
+        name="fixed",
+        params={},
+        truthful_for="none",
+        solver=lambda graph, stats=None: (mask, graph._alive),
     )
 
 

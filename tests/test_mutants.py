@@ -2,10 +2,11 @@
 
 Each entry names a file under ``src/``, an exact original text, its
 replacement, and the tests that must fail once the replacement is made.
-Applying a mutant and running its tests is left to a runner outside this
-suite; here each anchor must occur exactly once in ``src/``, in the file
-its entry names, so a refactor that moves an anchored line has to update
-the entry, and every test an entry names must exist.
+Applying a mutant and running its tests is left to ``tests/run_mutants.py``,
+which takes about a minute and stays outside this suite; here each anchor
+must occur exactly once in ``src/``, in the file its entry names, so a
+refactor that moves an anchored line has to update the entry, and every
+test an entry names must exist.
 """
 
 import json

@@ -1,13 +1,18 @@
 """A restricted solve answered from the build's record of an earlier solve.
 
-``Mechanism.solve`` keeps, per build and footprinted solver, the alive mask
-S of one run, its footprint F (every node the run ever added) and its
-answer; a later solve on an alive mask M inside S that hides no node of F
-returns that answer without running.  The differential test below compares
-every such answer with the same solve on a fresh build of the same cycles
-and node order, which has no record to read.
+Every solver returns its answer and its footprint.  ``Mechanism.solve``
+keeps, per build and solver, the alive mask S of one run, its footprint F
+and its answer; a later solve on an alive mask M inside S that hides no
+node of F returns that answer without running.  A catalog block's F is
+every node its run ever added; the lottery's is its base's, or the pool it
+drew from; a hand-written solver may report its alive mask.  The
+differential test below compares every such answer with the same solve on
+a fresh build of the same cycles and node order, which has no record to
+read.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -53,6 +58,25 @@ def mechanisms_for(lam):
     return out
 
 
+# (zeta, seed) of the lotteries: the first draw of each seed picks the
+# branch, and these pairs take both
+LOTTERY_DRAWS = [
+    (Fraction(zeta), seed) for zeta in ("1/10", "1/3", "2/3") for seed in range(4)
+]
+
+
+def lotteries_for(lam):
+    """rand: over greedy, ls:q=1 and opt:l=k, for every pair of
+    LOTTERY_DRAWS; some take the draw branch and some their base."""
+    branches = {
+        random.Random(seed).randrange(zeta.denominator) < zeta.numerator
+        for zeta, seed in LOTTERY_DRAWS
+    }
+    assert branches == {True, False}
+    bases = [greedy_mechanism(), ls_mechanism(1), opt_mechanism(lam.k)]
+    return [randomized_mechanism(b, zeta, seed) for b in bases for zeta, seed in LOTTERY_DRAWS]
+
+
 def fresh_solve(m, graph, alive):
     """``m``'s answer on ``alive`` in a new build of ``graph``'s cycles, in
     its node order: a build with no record to read."""
@@ -87,37 +111,55 @@ def test_restricted_solve_equals_a_fresh_build(n, k, p, kind, seed, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
         alive &= ~graph.mask_of(data.draw(hidden))
         alive_masks.append(alive)
-    for m in mechanisms_for(lam):
+    for m in mechanisms_for(lam) + lotteries_for(lam):
         for mask in alive_masks:
             view = graph.remove_nodes(graph._alive & ~mask)
             assert m.solve(view) == fresh_solve(m, graph, mask), m.name
 
 
+def test_one_node_restrictions_equal_the_solvers_own_run():
+    # every restriction hiding one node of a seeded graph, answered from the
+    # whole graph's record where the footprint allows, against the solver's
+    # own run; hiding a node that a swap evicted often changes the answer
+    rng = random.Random(5)
+    for seed in range(24):
+        k, kind = 3 + seed % 2, ("uniform", "flat", "steep")[seed % 3]
+        lam = lam_of(kind, k)
+        nodes = list(gen_random(8, k, 0.4, seed, lam=lam).graph().nodes)
+        rng.shuffle(nodes)
+        graph = build_graph(nodes, 8, lam, node_order=nodes)
+        for m in mechanisms_for(lam):
+            m.solve(graph)
+            for i in range(graph.num_nodes):
+                view = graph.remove_nodes(1 << i)
+                assert m.solve(view) == view.set_of(m.solver(view)[0]), m.name
+
+
 def counting():
-    """A hand-written solver (the first alive node), and its call log."""
+    """A hand-written solver (the first alive node, with the alive mask as
+    its footprint), and its call log."""
     calls = []
 
     def run(graph, stats=None):
         calls.append(graph._alive)
-        return graph._alive & -graph._alive
+        return graph._alive & -graph._alive, graph._alive
 
     return run, calls
 
 
-def test_opaque_solvers_never_replay():
+def test_hand_written_solver_runs_as_on_a_fresh_build():
+    # the answer avoids every hidden node, so only the footprint keeps the
+    # whole graph's record from answering the restrictions; on the same
+    # alive mask the record answers
     graph = gen_random(7, 3, 0.5, 8, lam=lam_of("flat", 3)).graph()  # 20 nodes
-    first_alive, calls = counting()
-    hand = Mechanism(name="first", params={}, truthful_for="none", solver=first_alive)
-    lotteries = [randomized_mechanism(greedy_mechanism(), Fraction(1, 2), seed=s) for s in range(8)]
+    shared_run, shared_calls = counting()
+    fresh_run, fresh_calls = counting()
+    hand = Mechanism(name="first", params={}, truthful_for="none", solver=shared_run)
     views = [graph] + [graph.remove_nodes(1 << i) for i in range(1, graph.num_nodes)]
     for view in views:
-        # the hand-written answer avoids every hidden node, so a record
-        # that held it would replay it
-        assert hand.solve(view) == fresh_solve(hand, graph, view._alive)
-        for m in lotteries:
-            assert m.solve(view) == fresh_solve(m, graph, view._alive), m.name
-    assert calls[::2] == [view._alive for view in views]
-    assert graph._tables.recorded == {}
+        assert hand.solve(view) == fresh_solve(replace(hand, solver=fresh_run), graph, view._alive)
+    assert hand.solve(graph) == graph.set_of(1)  # from the record
+    assert shared_calls == fresh_calls == [view._alive for view in views]
 
 
 def test_solve_with_stats_runs_in_full():

@@ -208,6 +208,21 @@ class TradingCycle:
         return f"Cycle{self.agents}"
 
 
+def _canonical_cycle(agents: tuple[int, ...]) -> TradingCycle:
+    """``TradingCycle(agents)`` without re-running its checks.
+
+    Precondition, which the caller guarantees and nothing here tests:
+    ``agents`` is a tuple of at least two distinct positive ints whose first
+    entry is the smallest, i.e. already in canonical rotation.  The cycle
+    enumeration's walk makes only such tuples.
+    """
+    cycle = object.__new__(TradingCycle)
+    object.__setattr__(cycle, "agents", agents)
+    object.__setattr__(cycle, "_hash", hash((agents,)))
+    object.__setattr__(cycle, "length", len(agents))
+    return cycle
+
+
 def cycle_sort_key(cycle: TradingCycle) -> tuple[int, tuple[int, ...]]:
     """Default node order: by length, then canonical agent sequence."""
     return (cycle.length, cycle.agents)

@@ -36,13 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     LengthFunction,
     TradingCycle,
     WishListVector,
+    _canonical_cycle,
     cycle_sort_key,
 )
 
@@ -58,33 +61,59 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
-    """All simple directed cycles of length 2..k in the agent digraph.
+    """All simple directed cycles of length 2..k in the agent digraph, sorted
+    by (length, sequence).
 
-    Each cycle is reported once, in canonical rotation, via a DFS that only
-    extends paths with agents larger than the start agent (so the start is
-    always the cycle minimum).  A path one short of full length is not
-    pushed: its extension by ``nxt`` can only close, so it is reported at
-    once when ``nxt`` wishes for the start.  The result is sorted by
-    (length, sequence), so the DFS may visit successors in any order.
+    Each cycle is found once, in canonical rotation, by a walk from its
+    smallest agent ``start`` that extends paths only with larger agents.
+    ``back[start]`` holds the agents above ``start`` that wish for it; every
+    cycle from ``start`` ends at one of them, so a start with none is
+    skipped.  A path closes into a cycle of its own length when its last
+    agent wishes for ``start``.  A path one agent short of k is not pushed:
+    its k-cycles are its last agent's wishes among ``back[start]`` that are
+    not on the path.  Paths are collected as int tuples, one list per
+    length, and each list is sorted natively, so the walk may visit
+    successors in any order.  The cycles are made with
+    :func:`bxmech.core._canonical_cycle`, which skips ``TradingCycle``'s
+    checks: the walk guarantees its precondition (the start is the smallest
+    agent, and no agent repeats).
     """
     if k < 2:
         raise ValueError(f"length bound must be >= 2, got {k}")
-    found: list[TradingCycle] = []
-    wish = wishes.wish  # wish[a - 1] is agent a's wish list
+    wish = (frozenset(),) + wishes.wish  # wish[a] is agent a's wish list
+    back: list[set[int]] = [set() for _ in wish]
+    for a, wanted in enumerate(wish):
+        for b in wanted:
+            if b < a:
+                back[b].add(a)
+    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+    closed = by_length[k]
     for start in range(1, wishes.n + 1):
-        stack: list[tuple[int, tuple[int, ...]]] = [(start, (start,))]
+        closers = back[start]
+        if not closers:
+            continue
+        if k == 2:  # the path (start,) is already one agent short
+            closed.extend((start, last) for last in wish[start] & closers)
+            continue
+        stack = [(start,)]
         while stack:
-            current, path = stack.pop()
-            last = len(path) + 1 == k
-            for nxt in wish[current - 1]:
-                if nxt == start and len(path) >= 2:
-                    found.append(TradingCycle(path))
-                elif nxt > start and nxt not in path:
-                    if not last:
-                        stack.append((nxt, path + (nxt,)))
-                    elif start in wish[nxt - 1]:
-                        found.append(TradingCycle(path + (nxt,)))
-    found.sort(key=cycle_sort_key)
+            path = stack.pop()
+            one_short = len(path) + 2 == k  # its extensions are one agent short
+            for nxt in wish[path[-1]]:
+                if nxt > start and nxt not in path:
+                    after = wish[nxt]
+                    if start in after:
+                        by_length[len(path) + 1].append(path + (nxt,))
+                    if not one_short:
+                        stack.append(path + (nxt,))
+                        continue
+                    for last in after & closers:  # each closes a k-cycle
+                        if last not in path:
+                            closed.append(path + (nxt, last))
+    found: list[TradingCycle] = []
+    for paths in by_length:
+        paths.sort()
+        found.extend(map(_canonical_cycle, paths))
     return found
 
 
@@ -99,7 +128,11 @@ class GraphTables:
     multiple of lambda's denominators, so weights and utilities share one
     denominator.  ``class_mask[l]`` holds the nodes whose length has the
     value lambda(l) (lengths 2..k).  ``agent_bits[i]`` has bit a set for
-    each agent a of node i.
+    each agent a of node i.  ``scale``, ``utility`` and the value classes
+    depend on lambda alone, so they are computed once per
+    :class:`~bxmech.core.LengthFunction` object and kept on it
+    (:func:`_lambda_tables`); ``utility`` is a read-only mapping, shared by
+    every build with that object.
 
     ``solved`` memoises :func:`bxmech.exact.max_weight_independent_set`: it
     maps an alive node mask to the solver's answer mask.  ``checked`` maps
@@ -290,6 +323,31 @@ class CycleGraph:
         return CycleGraph(self._tables, alive & ~drop_mask)
 
 
+def _lambda_tables(
+    lam: LengthFunction,
+) -> tuple[int, Mapping[int, int], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """``(scale, utility, classes)`` of ``lam``, computed once per
+    length-function object and kept on it, as
+    :func:`bxmech.mechanisms.lambda_profile` keeps its profile.
+
+    ``scale`` is the least common multiple of lambda's denominators,
+    ``utility[l]`` is lambda(l) times ``scale`` (a read-only mapping, shared
+    by every build with this ``lam``), and ``classes`` pairs each length l
+    in 2..k with the lengths whose value equals lambda(l).
+    """
+    memo = vars(lam)
+    tables = memo.get("_lambda_tables")
+    if tables is None:
+        lengths = range(2, lam.k + 1)
+        scale = lcm(*(lam(ell).denominator for ell in lengths))
+        utility = {ell: lam(ell).numerator * (scale // lam(ell).denominator) for ell in lengths}
+        classes = tuple(
+            (ell, tuple(e for e in lengths if utility[e] == utility[ell])) for ell in lengths
+        )
+        tables = memo["_lambda_tables"] = (scale, MappingProxyType(utility), classes)
+    return tables
+
+
 def build_graph(
     cycles: Sequence[TradingCycle],
     n: int,
@@ -299,47 +357,61 @@ def build_graph(
     """Build the conflict graph for a set of canonical, distinct cycles.
 
     ``node_order`` overrides the default (length, sequence) order; it must be
-    a permutation of ``cycles``.
+    a permutation of ``cycles``.  The cycles are checked in one pass (the
+    longest cycle against k, the largest agent against n); only when that
+    fails are they scanned in order for the first bad one, which is the
+    cycle reported.
     """
     cycle_list = list(cycles)
     if len(set(cycle_list)) != len(cycle_list):
         raise ValueError("duplicate canonical cycles")
-    for c in cycle_list:
-        if c.length > lam.k:
-            raise ValueError(f"cycle {c} longer than bound {lam.k}")
-        if any(not 1 <= a <= n for a in c.agents):
-            raise ValueError(f"cycle {c} mentions agents outside [1, {n}]")
+    k = lam.k
+    if cycle_list and (
+        max(c.length for c in cycle_list) > k
+        or max(chain.from_iterable(c.agents for c in cycle_list)) > n
+    ):
+        bad = next(c for c in cycle_list if c.length > k or not all(1 <= a <= n for a in c.agents))
+        if bad.length > k:
+            raise ValueError(f"cycle {bad} longer than bound {k}")
+        raise ValueError(f"cycle {bad} mentions agents outside [1, {n}]")
     if node_order is None:
         ordered = sorted(cycle_list, key=cycle_sort_key)
     else:
         ordered = list(node_order)
         if len(ordered) != len(cycle_list) or set(ordered) != set(cycle_list):
             raise ValueError("node_order must be a permutation of the cycles")
+    scale, utility, classes = _lambda_tables(lam)
     rank = {v: i for i, v in enumerate(ordered)}
     agent_mask: dict[int, int] = {}
     agent_bits = []
     length_mask: dict[int, int] = {}
-    for i, v in enumerate(ordered):
+    weights = []
+    get = agent_mask.get
+    bit = 1  # bit i is node i: shifted once per node
+    for v in ordered:
         node_agents = 0
         for a in v.agents:
-            agent_mask[a] = agent_mask.get(a, 0) | (1 << i)
+            agent_mask[a] = get(a, 0) | bit
             node_agents |= 1 << a
         agent_bits.append(node_agents)
-        length_mask[v.length] = length_mask.get(v.length, 0) | (1 << i)
+        length = v.length
+        length_mask[length] = length_mask.get(length, 0) | bit
+        weights.append(length * utility[length])
+        bit <<= 1
     adj = []
-    for i, v in enumerate(ordered):
+    bit = 1
+    for v in ordered:
         mask = 0
         for a in v.agents:
             mask |= agent_mask[a]
-        adj.append(mask & ~(1 << i))
-    lengths = range(2, lam.k + 1)
-    scale = lcm(*(lam(ell).denominator for ell in lengths))
-    utility = {ell: lam(ell).numerator * (scale // lam(ell).denominator) for ell in lengths}
-    class_mask = dict.fromkeys(lengths, 0)
-    for ell in lengths:
-        for e in lengths:
-            if utility[e] == utility[ell]:
-                class_mask[ell] |= length_mask.get(e, 0)
+        adj.append(mask ^ bit)  # the node is in each of its agents' masks
+        bit <<= 1
+    class_mask = {}
+    for ell, same in classes:
+        mask = 0
+        for e in same:
+            mask |= length_mask.get(e, 0)
+        class_mask[ell] = mask
     tables = GraphTables(
         n=n,
         lam=lam,
@@ -350,14 +422,14 @@ def build_graph(
         agent_bits=tuple(agent_bits),
         length_mask=length_mask,
         class_mask=class_mask,
-        weights=tuple(v.length * utility[v.length] for v in ordered),
+        weights=tuple(weights),
         utility=utility,
         scale=scale,
         solved={},
         checked={},
         recorded={},
     )
-    return CycleGraph(tables, (1 << len(ordered)) - 1)
+    return CycleGraph(tables, bit - 1)
 
 
 def build_from_wishes(

@@ -444,10 +444,24 @@ def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanis
     starts from ``seed``, so the mechanism is deterministic: the branch and
     the length depend on the graph only through k, and the drawn node only
     through the pool of alive nodes of that length, the draw's footprint.
-    Its ratio holds only in expectation, so it claims no bound.
+    Its ratio holds only in expectation, so it claims no bound.  The solver
+    is built once per (base solver, zeta, seed), so a re-parsed spec shares
+    its solve records.
     """
     if not 0 < zeta < 1:
         raise ValueError(f"zeta must lie strictly between 0 and 1, got {zeta}")
+    return Mechanism(
+        name=f"rand:zeta={zeta.numerator}/{zeta.denominator}:base={base.name}",
+        params={"zeta": zeta, "base": base},
+        truthful_for=base.truthful_for,
+        solver=_lottery_solver(base.solver, zeta, seed),
+    )
+
+
+@cache
+def _lottery_solver(base: Solver, zeta: Fraction, seed: int) -> Solver:
+    """The lottery of :func:`randomized_mechanism` over the solver ``base``,
+    built once per (base, zeta, seed) and shared."""
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
         rng = random.Random(seed)
@@ -456,14 +470,9 @@ def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanis
             order = sorted(bits(pool), key=lambda i: cycle_sort_key(graph._tables.nodes[i]))
             pick = 1 << order[rng.randrange(len(order))] if order else 0
             return pick, pool
-        return base.solver(graph, None)
+        return base(graph, None)
 
-    return Mechanism(
-        name=f"rand:zeta={zeta.numerator}/{zeta.denominator}:base={base.name}",
-        params={"zeta": zeta, "base": base},
-        truthful_for=base.truthful_for,
-        solver=run,
-    )
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,13 @@ def _unsaturated(graph: CycleGraph, base: IndependentSet) -> Iterator[tuple[int,
     """``(agent, own node mask, honest scaled utility)`` for each agent a
     fuzzer attacks.  An agent with no node, or already at her best node's
     value in ``base``, is skipped: hiding can only yield nodes of hers."""
-    utility = graph._tables.utility
+    utility, length_mask = graph._tables.utility, graph._tables.length_mask
     for agent in range(1, graph.n + 1):
         own = graph.agent_mask(agent)
         if not own:
             continue
         honest = _scaled_utility(utility, base, agent)
-        if honest < max(utility[v.length] for v in graph.nodes_of(own)):
+        if honest < max(utility[ell] for ell, mask in length_mask.items() if own & mask):
             yield agent, own, honest
 
 

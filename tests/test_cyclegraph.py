@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from bxmech.core import (
     cycle_sort_key,
     social_welfare,
 )
-from bxmech.cyclegraph import build_from_wishes, build_graph, enumerate_cycles
+from bxmech.cyclegraph import _lambda_tables, build_from_wishes, build_graph, enumerate_cycles
 from bxmech.exact import max_weight_independent_set
 from bxmech.instances import gen_random
 
@@ -63,7 +64,7 @@ def brute_force_cycles(wishes, k):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=12),
     st.integers(min_value=2, max_value=5),
     st.integers(min_value=0, max_value=10_000),
     st.sampled_from([0.2, 0.45, 0.7]),
@@ -74,6 +75,61 @@ def test_enumeration_matches_brute_force(n, k, seed, p):
     assert len(set(found)) == len(found)
     assert set(found) == brute_force_cycles(wishes, k)
     assert found == sorted(found, key=cycle_sort_key)
+    # the enumeration makes its cycles without TradingCycle's checks; each
+    # must be the cycle the checked constructor makes
+    for c in found:
+        checked = TradingCycle(c.agents)
+        assert (c.agents, c.length, hash(c)) == (checked.agents, checked.length, hash(checked))
+        assert vars(c) == vars(checked)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_enumerate_complete_digraphs_finds_every_cycle_once(n, k):
+    # C(n, l) agent sets of each length l, each with (l - 1)! cyclic orders
+    found = enumerate_cycles(complete_digraph(n), k)
+    expect = sum(math.comb(n, l) * math.factorial(l - 1) for l in range(2, min(n, k) + 1))
+    assert len(found) == expect
+    assert all(len(set(c.agents)) == c.length == len(c.agents) for c in found)
+
+
+def test_enumeration_never_closes_through_an_agent_on_the_path():
+    # 2 wishes for 1, so 2 closes the 4-cycles from 1; the path 1 -> 2 -> 3
+    # is one short of k = 4 and 3 wishes for 2, which is on the path
+    wishes = WishListVector.from_dict(3, {1: {2}, 2: {1, 3}, 3: {2}})
+    assert enumerate_cycles(wishes, 4) == [TradingCycle((1, 2)), TradingCycle((2, 3))]
+
+
+def tables_of(graph):
+    """Every table of a build that does not fill as it is used."""
+    t = graph._tables
+    return (
+        t.n, t.lam, t.nodes, dict(t.rank), t.adj, dict(t.agent_mask), t.agent_bits,
+        dict(t.length_mask), dict(t.class_mask), t.weights, dict(t.utility), t.scale,
+        graph._alive,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["uniform", "flat", "steep"]),
+)
+def test_build_from_wishes_matches_a_build_of_brute_force_cycles(n, k, seed, kind):
+    lam = {
+        "uniform": LengthFunction.uniform(k),
+        "flat": LengthFunction.of(k, "1", *["9/10"] * (k - 2)),
+        "steep": LengthFunction.of(k, "1", *[f"1/{2 ** i}" for i in range(1, k - 1)]),
+    }[kind]
+    wishes = gen_random(n, k, 0.45, seed, lam=lam).wishes
+    got = build_from_wishes(wishes, lam)
+    # a fresh length function, so the reference computes its own lambda tables
+    fresh = LengthFunction(k=k, values=lam.values)
+    want = build_graph(sorted(brute_force_cycles(wishes, k), key=cycle_sort_key), n, fresh)
+    assert got == want
+    assert tables_of(got) == tables_of(want)
 
 
 def test_build_rejects_duplicates():
@@ -83,10 +139,39 @@ def test_build_rejects_duplicates():
 
 
 def test_build_rejects_overlong_and_foreign_cycles():
-    with pytest.raises(ValueError):
-        build_graph([TradingCycle((1, 2, 3))], 3, LengthFunction.uniform(2))
-    with pytest.raises(ValueError):
-        build_graph([TradingCycle((1, 5))], 3, UNIFORM3)
+    pair, triangle, square = (TradingCycle(c) for c in [(1, 2), (1, 2, 3), (1, 2, 3, 4)])
+    foreign, far = TradingCycle((2, 5)), TradingCycle((1, 9))
+    # the first bad cycle in the given order is reported, whichever test it fails
+    cases = [
+        ([pair, triangle], 3, LengthFunction.uniform(2), "cycle Cycle(1, 2, 3) longer than bound 2"),
+        ([pair, foreign], 3, UNIFORM3, "cycle Cycle(2, 5) mentions agents outside [1, 3]"),
+        ([pair, foreign, square], 4, UNIFORM3, "cycle Cycle(2, 5) mentions agents outside [1, 4]"),
+        ([pair, square, foreign], 4, UNIFORM3, "cycle Cycle(1, 2, 3, 4) longer than bound 3"),
+        ([triangle, pair, far, square], 4, UNIFORM3, "cycle Cycle(1, 9) mentions agents outside [1, 4]"),
+    ]
+    for cycles, n, lam, message in cases:
+        with pytest.raises(ValueError) as caught:
+            build_graph(cycles, n, lam)
+        assert str(caught.value) == message
+    # cycles of length exactly k over agents up to exactly n pass
+    assert build_graph([pair, triangle], 3, UNIFORM3).num_nodes == 2
+
+
+def test_lambda_tables_are_computed_once_per_length_function():
+    lam = LengthFunction.of(4, "1", "2/3", "2/3")
+    g = gen_random(7, 4, 0.4, 5, lam=lam).graph()
+    h = gen_random(7, 4, 0.4, 6, lam=lam).graph()
+    assert g._tables.utility is h._tables.utility  # one table per lam object
+    with pytest.raises(TypeError):
+        g._tables.utility[2] = 0  # shared, so read-only
+    # a fresh length function with the same values gives equal tables
+    fresh = LengthFunction.of(4, "1", "2/3", "2/3")
+    again = gen_random(7, 4, 0.4, 5, lam=fresh).graph()
+    assert again._tables.utility is not g._tables.utility
+    assert tables_of(again) == tables_of(g)
+    assert _lambda_tables(fresh) == _lambda_tables(lam) == (
+        3, {2: 3, 3: 2, 4: 2}, ((2, (2,)), (3, (3, 4)), (4, (3, 4)))
+    )
 
 
 def test_adjacency_by_shared_agent():

@@ -32,6 +32,7 @@ from bxmech.mechanisms import (
     ls_mechanism,
     nu_mechanism,
     opt_mechanism,
+    parse_mechanism,
     randomized_mechanism,
 )
 from bxmech.verification import fuzz_truthfulness_nodes, test_inpa as inpa_check
@@ -195,6 +196,30 @@ def test_repeated_op_keeps_the_record_count():
     for _ in range(49):
         op()
     assert len(graph._tables.recorded) == count
+
+
+def test_reparsed_lottery_shares_one_solver_and_record():
+    # the lottery's solver is built once per (base solver, zeta, seed), so a
+    # spec parsed anew for every solve keeps one record on the build
+    graph = gen_random(8, 3, 0.4, 3, lam=lam_of("flat", 3)).graph()
+    spec = "rand:zeta=1/2:base=greedy"
+    first = parse_mechanism(spec)
+    assert parse_mechanism(spec, seed=1).solver is not first.solver
+    answers = set()
+    for _ in range(50):
+        m = parse_mechanism(spec)
+        assert m.solver is first.solver
+        answers.add(m.solve(graph))
+    assert len(graph._tables.recorded) == 1
+    assert answers == {fresh_solve(first, graph, graph._alive)}
+    # on the base branch the base runs once; the other 49 solves replay
+    for zeta, seed in LOTTERY_DRAWS:
+        run, calls = counting()
+        base = Mechanism(name="first", params={}, truthful_for="none", solver=run)
+        for _ in range(50):
+            randomized_mechanism(base, zeta, seed).solve(graph)
+        drawn = random.Random(seed).randrange(zeta.denominator) < zeta.numerator
+        assert calls == ([] if drawn else [graph._alive])
 
 
 def test_footprint_holds_the_nodes_a_swap_evicted():

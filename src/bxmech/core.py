@@ -189,9 +189,7 @@ class TradingCycle:
         if agents[0] != low:
             pivot = agents.index(low)
             agents = agents[pivot:] + agents[:pivot]
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "_hash", hash((agents,)))
-        object.__setattr__(self, "length", len(agents))
+        _fill(self, agents)
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -217,10 +215,15 @@ def _canonical_cycle(agents: tuple[int, ...]) -> TradingCycle:
     enumeration's walk makes only such tuples.
     """
     cycle = object.__new__(TradingCycle)
+    _fill(cycle, agents)
+    return cycle
+
+
+def _fill(cycle: TradingCycle, agents: tuple[int, ...]) -> None:
+    """Set ``cycle``'s canonical ``agents``, its hash and its length."""
     object.__setattr__(cycle, "agents", agents)
     object.__setattr__(cycle, "_hash", hash((agents,)))
     object.__setattr__(cycle, "length", len(agents))
-    return cycle
 
 
 def cycle_sort_key(cycle: TradingCycle) -> tuple[int, tuple[int, ...]]:

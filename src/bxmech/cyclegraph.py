@@ -36,9 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import lcm
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -128,11 +126,7 @@ class GraphTables:
     multiple of lambda's denominators, so weights and utilities share one
     denominator.  ``class_mask[l]`` holds the nodes whose length has the
     value lambda(l) (lengths 2..k).  ``agent_bits[i]`` has bit a set for
-    each agent a of node i.  ``scale``, ``utility`` and the value classes
-    depend on lambda alone, so they are computed once per
-    :class:`~bxmech.core.LengthFunction` object and kept on it
-    (:func:`_lambda_tables`); ``utility`` is a read-only mapping, shared by
-    every build with that object.
+    each agent a of node i.
 
     ``solved`` memoises :func:`bxmech.exact.max_weight_independent_set`: it
     maps an alive node mask to the solver's answer mask.  ``checked`` maps
@@ -323,31 +317,6 @@ class CycleGraph:
         return CycleGraph(self._tables, alive & ~drop_mask)
 
 
-def _lambda_tables(
-    lam: LengthFunction,
-) -> tuple[int, Mapping[int, int], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """``(scale, utility, classes)`` of ``lam``, computed once per
-    length-function object and kept on it, as
-    :func:`bxmech.mechanisms.lambda_profile` keeps its profile.
-
-    ``scale`` is the least common multiple of lambda's denominators,
-    ``utility[l]`` is lambda(l) times ``scale`` (a read-only mapping, shared
-    by every build with this ``lam``), and ``classes`` pairs each length l
-    in 2..k with the lengths whose value equals lambda(l).
-    """
-    memo = vars(lam)
-    tables = memo.get("_lambda_tables")
-    if tables is None:
-        lengths = range(2, lam.k + 1)
-        scale = lcm(*(lam(ell).denominator for ell in lengths))
-        utility = {ell: lam(ell).numerator * (scale // lam(ell).denominator) for ell in lengths}
-        classes = tuple(
-            (ell, tuple(e for e in lengths if utility[e] == utility[ell])) for ell in lengths
-        )
-        tables = memo["_lambda_tables"] = (scale, MappingProxyType(utility), classes)
-    return tables
-
-
 def build_graph(
     cycles: Sequence[TradingCycle],
     n: int,
@@ -357,35 +326,28 @@ def build_graph(
     """Build the conflict graph for a set of canonical, distinct cycles.
 
     ``node_order`` overrides the default (length, sequence) order; it must be
-    a permutation of ``cycles``.  The cycles are checked in one pass (the
-    longest cycle against k, the largest agent against n); only when that
-    fails are they scanned in order for the first bad one, which is the
-    cycle reported.
+    a permutation of ``cycles``.  A cycle's agents are positive by
+    construction, so only its largest agent is tested against n.
     """
     cycle_list = list(cycles)
     if len(set(cycle_list)) != len(cycle_list):
         raise ValueError("duplicate canonical cycles")
     k = lam.k
-    if cycle_list and (
-        max(c.length for c in cycle_list) > k
-        or max(chain.from_iterable(c.agents for c in cycle_list)) > n
-    ):
-        bad = next(c for c in cycle_list if c.length > k or not all(1 <= a <= n for a in c.agents))
-        if bad.length > k:
-            raise ValueError(f"cycle {bad} longer than bound {k}")
-        raise ValueError(f"cycle {bad} mentions agents outside [1, {n}]")
+    for c in cycle_list:
+        if c.length > k:
+            raise ValueError(f"cycle {c} longer than bound {k}")
+        if max(c.agents) > n:
+            raise ValueError(f"cycle {c} mentions agents outside [1, {n}]")
     if node_order is None:
         ordered = sorted(cycle_list, key=cycle_sort_key)
     else:
         ordered = list(node_order)
         if len(ordered) != len(cycle_list) or set(ordered) != set(cycle_list):
             raise ValueError("node_order must be a permutation of the cycles")
-    scale, utility, classes = _lambda_tables(lam)
     rank = {v: i for i, v in enumerate(ordered)}
     agent_mask: dict[int, int] = {}
     agent_bits = []
     length_mask: dict[int, int] = {}
-    weights = []
     get = agent_mask.get
     bit = 1  # bit i is node i: shifted once per node
     for v in ordered:
@@ -394,9 +356,7 @@ def build_graph(
             agent_mask[a] = get(a, 0) | bit
             node_agents |= 1 << a
         agent_bits.append(node_agents)
-        length = v.length
-        length_mask[length] = length_mask.get(length, 0) | bit
-        weights.append(length * utility[length])
+        length_mask[v.length] = length_mask.get(v.length, 0) | bit
         bit <<= 1
     adj = []
     bit = 1
@@ -406,12 +366,14 @@ def build_graph(
             mask |= agent_mask[a]
         adj.append(mask ^ bit)  # the node is in each of its agents' masks
         bit <<= 1
-    class_mask = {}
-    for ell, same in classes:
-        mask = 0
-        for e in same:
-            mask |= length_mask.get(e, 0)
-        class_mask[ell] = mask
+    lengths = range(2, k + 1)
+    scale = lcm(*(lam(ell).denominator for ell in lengths))
+    utility = {ell: lam(ell).numerator * (scale // lam(ell).denominator) for ell in lengths}
+    class_mask = dict.fromkeys(lengths, 0)
+    for ell in lengths:
+        for e in lengths:
+            if utility[e] == utility[ell]:
+                class_mask[ell] |= length_mask.get(e, 0)
     tables = GraphTables(
         n=n,
         lam=lam,
@@ -422,7 +384,7 @@ def build_graph(
         agent_bits=tuple(agent_bits),
         length_mask=length_mask,
         class_mask=class_mask,
-        weights=tuple(weights),
+        weights=tuple(v.length * utility[v.length] for v in ordered),
         utility=utility,
         scale=scale,
         solved={},

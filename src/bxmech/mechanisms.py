@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -445,8 +445,9 @@ def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanis
     the length depend on the graph only through k, and the drawn node only
     through the pool of alive nodes of that length, the draw's footprint.
     Its ratio holds only in expectation, so it claims no bound.  The solver
-    is built once per (base solver, zeta, seed), so a re-parsed spec shares
-    its solve records.
+    is built once per (base solver, zeta, seed) and kept in a bounded cache,
+    so a re-parsed spec shares its solve records while a base that is made
+    afresh for each call is not kept for the life of the process.
     """
     if not 0 < zeta < 1:
         raise ValueError(f"zeta must lie strictly between 0 and 1, got {zeta}")
@@ -458,10 +459,10 @@ def randomized_mechanism(base: Mechanism, zeta: Fraction, seed: int) -> Mechanis
     )
 
 
-@cache
+@lru_cache(maxsize=256)
 def _lottery_solver(base: Solver, zeta: Fraction, seed: int) -> Solver:
     """The lottery of :func:`randomized_mechanism` over the solver ``base``,
-    built once per (base, zeta, seed) and shared."""
+    shared by the latest 256 (base, zeta, seed) keys."""
 
     def run(graph: CycleGraph, stats: SearchStats | None = None) -> tuple[int, int]:
         rng = random.Random(seed)

@@ -14,7 +14,7 @@ from bxmech.core import (
     cycle_sort_key,
     social_welfare,
 )
-from bxmech.cyclegraph import _lambda_tables, build_from_wishes, build_graph, enumerate_cycles
+from bxmech.cyclegraph import build_from_wishes, build_graph, enumerate_cycles
 from bxmech.exact import max_weight_independent_set
 from bxmech.instances import gen_random
 
@@ -155,23 +155,6 @@ def test_build_rejects_overlong_and_foreign_cycles():
         assert str(caught.value) == message
     # cycles of length exactly k over agents up to exactly n pass
     assert build_graph([pair, triangle], 3, UNIFORM3).num_nodes == 2
-
-
-def test_lambda_tables_are_computed_once_per_length_function():
-    lam = LengthFunction.of(4, "1", "2/3", "2/3")
-    g = gen_random(7, 4, 0.4, 5, lam=lam).graph()
-    h = gen_random(7, 4, 0.4, 6, lam=lam).graph()
-    assert g._tables.utility is h._tables.utility  # one table per lam object
-    with pytest.raises(TypeError):
-        g._tables.utility[2] = 0  # shared, so read-only
-    # a fresh length function with the same values gives equal tables
-    fresh = LengthFunction.of(4, "1", "2/3", "2/3")
-    again = gen_random(7, 4, 0.4, 5, lam=fresh).graph()
-    assert again._tables.utility is not g._tables.utility
-    assert tables_of(again) == tables_of(g)
-    assert _lambda_tables(fresh) == _lambda_tables(lam) == (
-        3, {2: 3, 3: 2, 4: 2}, ((2, (2,)), (3, (3, 4)), (4, (3, 4)))
-    )
 
 
 def test_adjacency_by_shared_agent():

@@ -11,7 +11,9 @@ a fresh build of the same cycles and node order, which has no record to
 read.
 """
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -220,6 +222,25 @@ def test_reparsed_lottery_shares_one_solver_and_record():
             randomized_mechanism(base, zeta, seed).solve(graph)
         drawn = random.Random(seed).randrange(zeta.denominator) < zeta.numerator
         assert calls == ([] if drawn else [graph._alive])
+
+
+def test_lottery_does_not_keep_every_hand_written_base():
+    # the lottery's solvers sit in a bounded cache: a base made afresh for
+    # each call is freed once enough newer keys have pushed it out
+    run, _ = counting()
+    base = Mechanism(name="first", params={}, truthful_for="none", solver=run)
+    randomized_mechanism(base, Fraction(1, 2), 0)
+    gone = weakref.ref(run)
+    del run, base
+    for seed in range(300):
+        fresh, _ = counting()
+        randomized_mechanism(
+            Mechanism(name="fresh", params={}, truthful_for="none", solver=fresh),
+            Fraction(1, 2),
+            seed,
+        )
+    gc.collect()
+    assert gone() is None
 
 
 def test_footprint_holds_the_nodes_a_swap_evicted():

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .canonical import canonical_json
 from .core import (
@@ -77,14 +77,14 @@ def _parse_keyvals(text: str) -> dict[str, list[str]]:
 def _lam_from_params(params: dict[str, list[str]], k: int) -> LengthFunction:
     if "lambda" not in params:
         return LengthFunction.uniform(k)
-    values = tuple(parse_rational(v, "parameter lambda") for v in params["lambda"])
+    values = tuple(parse_rational(v, "parameter lambda") for v in params.pop("lambda"))
     return LengthFunction(k=k, values=values)
 
 
 def _single(params: dict[str, list[str]], key: str) -> str:
     if key not in params:
         raise UsageError(f"missing parameter {key}")
-    values = params[key]
+    values = params.pop(key)
     if len(values) != 1:
         raise UsageError(f"parameter {key} takes one value, got {','.join(values)!r}")
     return values[0]
@@ -94,9 +94,28 @@ def _single_int(params: dict[str, list[str]], key: str) -> int:
     return parse_int(_single(params, key), f"parameter {key}")
 
 
+def _refuse_leftovers(params: dict[str, list[str]], family: str) -> None:
+    """Refuse the parameters left in ``params``: :func:`_single` and
+    :func:`_lam_from_params` remove each one they read, so a leftover is
+    one that ``family`` does not take."""
+    if params:
+        raise UsageError(f"unknown parameter {next(iter(params))} for {family}")
+
+
 def build_generator_spec(spec: str) -> InstanceBundle:
     family, _, rest = spec.partition(":")
-    params = _parse_keyvals(rest)
+    return _build_generator(family, _parse_keyvals(rest))
+
+
+def _build_generator(family: str, params: dict[str, list[str]]) -> InstanceBundle:
+    """The instance of ``family`` with ``params``; every parameter must be
+    one the family reads."""
+    bundle = _generate(family, params)
+    _refuse_leftovers(params, family)
+    return bundle
+
+
+def _generate(family: str, params: dict[str, list[str]]) -> InstanceBundle:
     if family == "comb" or family == "dcomb":
         h = _single_int(params, "h")
         v = _single_int(params, "v")
@@ -129,14 +148,12 @@ def build_generator_spec(spec: str) -> InstanceBundle:
     raise UsageError(f"unknown generator family {family!r}")
 
 
-def expand_generator_family(spec: str) -> list[str]:
-    """Expand range parameters like q=1..4 into concrete generator specs."""
-    family, sep, rest = spec.partition(":")
-    if not sep:
-        return [spec]
-    params = _parse_keyvals(rest)
+def expand_generator_family(spec: str) -> Iterator[InstanceBundle]:
+    """The instances of a generator spec, one per combination of the values
+    of its range parameters like q=1..4, each built when it is reached."""
+    family, _, rest = spec.partition(":")
     expansions: list[dict[str, list[str]]] = [{}]
-    for key, values in params.items():
+    for key, values in _parse_keyvals(rest).items():
         if len(values) == 1 and ".." in values[0]:
             lo_text, hi_text = values[0].split("..", 1)
             lo = parse_int(lo_text, f"parameter {key}")
@@ -149,14 +166,8 @@ def expand_generator_family(spec: str) -> list[str]:
         expansions = [
             {**base, key: choice} for base in expansions for choice in choices
         ]
-    out = []
     for combo in expansions:
-        parts = []
-        for key, values in combo.items():
-            parts.append(f"{key}={values[0]}")
-            parts.extend(values[1:])
-        out.append(f"{family}:{','.join(parts)}")
-    return out
+        yield _build_generator(family, combo)
 
 
 def _resolve_mechanism(
@@ -226,11 +237,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError("randomized wrapper needs a wish-list instance")
     warnings: list[str] = []
     stats = SearchStats()
-    chosen = mech.solve(graph, stats)
+    answer = mech.solve(graph, stats)
+    chosen = graph.set_of(answer)
     welfare = graph.weight(chosen)
     try:
         ratio = measure_ratio(
-            chosen,
+            answer,
             graph,
             mech.claimed_bound(bundle.lam),
             instance=bundle.name,
@@ -275,7 +287,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             bundle.lam,
             budget=args.budget,
             seed=args.seed,
-            node_order=bundle.node_order,
+            graph=graph,
         )
     lines = []
     for f in findings:
@@ -294,8 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--bound must be at least 1, got {args.bound}")
     rows: list[dict] = []
     violation = False
-    for gen_spec in expand_generator_family(args.family):
-        bundle = build_generator_spec(gen_spec)
+    for bundle in expand_generator_family(args.family):
         graph = bundle.graph()
         for mech_spec in args.mechanisms.split("+"):
             mech = _resolve_mechanism(
@@ -349,6 +360,7 @@ def cmd_profile_lambda(args: argparse.Namespace) -> int:
     params = _parse_keyvals(args.spec)
     k = _single_int(params, "k")
     lam = _lam_from_params(params, k)
+    _refuse_leftovers(params, "profile-lambda")
     profile = lambda_profile(lam)
     doc = {
         "k": k,

@@ -14,18 +14,17 @@ The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
 choice made by the search rules refers to this order.  Inside the library a
 set of nodes is an int mask, bit i meaning node i of the built graph:
-adjacency is stored that way, and the rules, the solvers and
-:meth:`CycleGraph.remove_nodes` take and return masks.  Frozensets of
-cycles appear only at the API, through ``mask_of``, ``nodes_of``,
-``set_of`` and ``checked_set``.
+adjacency is stored that way, and the rules, the solvers, the mechanisms'
+answers and :meth:`CycleGraph.remove_nodes` take and return masks.
+Frozensets of cycles appear only at the API, through ``mask_of``,
+``nodes_of`` and ``set_of``.
 
 :func:`build_graph` computes its tables once, in one :class:`GraphTables`:
 the nodes, ranks, adjacency, agent, length and value-class masks, each
-node's agents as a bitmask, the scaled weights and utilities, and three
-tables filled as the build is used: the exact-solve memo, the checked
-answers (each independent mask handed out as a frozenset, built once) and
-the solve records of :meth:`bxmech.mechanisms.Mechanism.solve` (one per
-solver, from which a solve on a restriction is answered without running).
+node's agents as a bitmask, the scaled weights and utilities, and two
+tables filled as the build is used: the exact-solve memo and the solve
+records of :meth:`bxmech.mechanisms.Mechanism.solve` (one per solver, from
+which a solve on a restriction is answered without running).
 A :class:`CycleGraph` is those shared tables plus a mask of alive nodes, so
 removing nodes rebuilds nothing: the restricted graph is the same tables
 with a smaller mask.
@@ -129,16 +128,12 @@ class GraphTables:
     each agent a of node i.
 
     ``solved`` memoises :func:`bxmech.exact.max_weight_independent_set`: it
-    maps an alive node mask to the solver's answer mask.  ``checked`` maps
-    each mask that :meth:`CycleGraph.checked_set` has found independent to
-    its frozenset of cycles.  Independence of a mask depends on ``adj``
-    alone, so one entry serves every restriction; whether its nodes are
-    alive does not, and is tested on every call.  ``recorded`` maps a
-    solver to the record ``(alive, footprint, answer)`` of one of its runs
-    on this build: the alive mask it ran on, and the footprint and answer
-    masks the solver returned (a catalog solver's footprint is every node
-    its run ever added); :meth:`bxmech.mechanisms.Mechanism.solve` fills
-    and reads it.  All three start empty and live exactly as long as the
+    maps an alive node mask to the solver's answer mask.  ``recorded`` maps
+    a solver to the record ``(alive, footprint, answer)`` of one of its
+    runs on this build: the alive mask it ran on, and the footprint and
+    answer masks the solver returned (a catalog solver's footprint is every
+    node its run ever added); :meth:`bxmech.mechanisms.Mechanism.solve`
+    fills and reads it.  Both start empty and live exactly as long as the
     build.
     """
 
@@ -155,7 +150,6 @@ class GraphTables:
     utility: Mapping[int, int]
     scale: int
     solved: dict[int, int]
-    checked: dict[int, IndependentSet]
     recorded: dict[object, tuple[int, int, int]]
 
 
@@ -267,20 +261,6 @@ class CycleGraph:
         """Whether ``mask`` holds alive nodes only, no two of them adjacent."""
         return not (mask & ~self._alive or mask & self.neighborhood_mask(mask))
 
-    def checked_set(self, mask: int) -> IndependentSet | None:
-        """``set_of(mask)`` when ``mask`` is an independent set of alive
-        nodes, else None.  The set is built once per build, on the first
-        call that finds ``mask`` independent, and handed out again after."""
-        if mask & ~self._alive:
-            return None
-        checked = self._tables.checked
-        found = checked.get(mask)
-        if found is None:
-            if mask & self.neighborhood_mask(mask):
-                return None
-            found = checked[mask] = self.set_of(mask)
-        return found
-
     def agents_of(self, nodes: Iterable[TradingCycle]) -> frozenset[int]:
         out: set[int] = set()
         for v in nodes:
@@ -388,7 +368,6 @@ def build_graph(
         utility=utility,
         scale=scale,
         solved={},
-        checked={},
         recorded={},
     )
     return CycleGraph(tables, bit - 1)

@@ -10,8 +10,9 @@ block's footprint is every node its run ever added (the greedy picks, the
 union of the local search's steps, the exact solve's answer, the union of
 a concatenation's parts); each block is built once per parameter set.  A
 :class:`Mechanism` packages a solver with its claimed approximation bound
-and the class of length functions it is truthful for, and hands its
-result out as a frozenset of cycles:
+and the class of length functions it is truthful for, and hands out the
+solver's answer mask once it has checked it (``graph.set_of`` turns a mask
+into its frozenset of cycles):
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -58,7 +59,6 @@ from .core import LengthFunction, cycle_sort_key, parse_int, parse_rational
 # wraps them at every module that imports them, this one included
 from .cyclegraph import (  # noqa: F401
     CycleGraph,
-    IndependentSet,
     bits,
     build_graph,
     enumerate_cycles,
@@ -244,8 +244,7 @@ class Mechanism:
     """A named solver plus its advertised guarantee.
 
     ``solver`` returns an answer mask and its footprint; ``solve`` (or
-    ``run``) re-checks that the answer is independent and returns its set
-    of cycles from the build's table (:meth:`CycleGraph.checked_set`).
+    ``run``) checks the answer and returns its mask.
     """
 
     name: str
@@ -254,10 +253,8 @@ class Mechanism:
     solver: Solver
     claimed_bound: Callable[[LengthFunction], Fraction | None] = lambda lam: None
 
-    def solve(
-        self, graph: CycleGraph, stats: SearchStats | None = None
-    ) -> IndependentSet:
-        """The solver's answer on ``graph`` as a set of cycles.
+    def solve(self, graph: CycleGraph, stats: SearchStats | None = None) -> int:
+        """The solver's answer on ``graph``, as a node mask.
 
         Without ``stats``, the solve may answer from the build's record of
         an earlier run of the same solver (``GraphTables.recorded``, shared
@@ -278,21 +275,28 @@ class Mechanism:
         A hand-written solver must be a function of its graph.  One that can
         name no smaller footprint returns ``graph._alive``, which replays
         only on the same alive mask.
+
+        A run's answer must be an independent set of alive nodes, and is
+        recorded only then.  Independence depends on the adjacency alone,
+        which every restriction shares, so a replayed answer is tested only
+        for nodes that are no longer alive.  Either failure raises
+        ``RuntimeError``.
         """
         solver = self.solver
         alive = graph._alive
         recorded = graph._tables.recorded
         record = recorded.get(solver) if stats is None else None
         if record is not None and _covers(record, alive):
-            mask = record[2]
+            answer = record[2]
+            independent = not answer & ~alive
         else:
-            mask, footprint = solver(graph, stats)
-            if stats is None and (record is None or not record[0] & ~alive):
-                recorded[solver] = (alive, footprint, mask)
-        chosen = graph.checked_set(mask)
-        if chosen is None:
+            answer, footprint = solver(graph, stats)
+            independent = graph.is_independent_mask(answer)
+            if independent and stats is None and (record is None or not record[0] & ~alive):
+                recorded[solver] = (alive, footprint, answer)
+        if not independent:
             raise RuntimeError(f"mechanism {self.name} produced a dependent set")
-        return chosen
+        return answer
 
     # looked up on each access, so a patched ``solve`` is seen through it
     run = property(lambda self: self.solve)

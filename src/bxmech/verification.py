@@ -5,6 +5,11 @@ exactly, the fuzzers search both strategy spaces an agent has (hiding node
 subsets of the conflict graph, or under-reporting her wish list), and the
 stability check verifies that non-served agents cannot move the output at
 all.  Findings are strict utility improvements only.
+
+The adversaries take a solve, a function from a graph to an answer node
+mask such as a bound :meth:`bxmech.mechanisms.Mechanism.solve`; they
+compare answers as ints and read an agent's utility from the answer's
+nodes among hers.  The oracle hands out a frozenset of cycles.
 """
 
 from __future__ import annotations
@@ -12,19 +17,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     LengthFunction,
-    TradingCycle,
     Utility,
     WishListVector,
     rational_str,
 )
-from .cyclegraph import CycleGraph, IndependentSet, bits, build_from_wishes
+from .cyclegraph import CycleGraph, GraphTables, IndependentSet, bits, build_from_wishes
 from .exact import EXACT_NODE_CAP, max_weight_independent_set
 
-Solver = Callable[[CycleGraph], IndependentSet]
+Solve = Callable[[CycleGraph], int]  # a graph -> its answer node mask
 
 EXHAUSTIVE_NODE_LIMIT = 12  # per-agent strategy spaces up to 2**12 are enumerated
 
@@ -38,31 +42,24 @@ def oracle_max_weight_is(
     matter how many nodes they have; otherwise the node count must stay
     under ``node_cap``, or :class:`ExactSearchCapExceeded` is raised.
     """
-    chosen = graph.checked_set(max_weight_independent_set(graph, node_cap=node_cap))
-    if chosen is None:
+    mask = max_weight_independent_set(graph, node_cap=node_cap)
+    if not graph.is_independent_mask(mask):
         raise RuntimeError("oracle produced a dependent set; oracle bug")
-    return chosen
+    return graph.set_of(mask)
 
 
-def graph_utility(graph: CycleGraph, chosen: IndependentSet, agent: int) -> Fraction:
-    """Utility of an agent from an independent set: the length value of the
-    unique chosen node she partakes in, else 0."""
+def graph_utility(graph: CycleGraph, answer: int, agent: int) -> Fraction:
+    """Utility of an agent from an independent node mask: the length value
+    of the unique answer node she partakes in, else 0."""
     tables = graph._tables
-    return Fraction(_scaled_utility(tables.utility, chosen, agent), tables.scale)
+    return Fraction(_scaled_utility(tables, answer, agent), tables.scale)
 
 
-def _scaled_utility(utility: Mapping[int, int], chosen: IndependentSet, agent: int) -> int:
+def _scaled_utility(tables: GraphTables, answer: int, agent: int) -> int:
     """:func:`graph_utility` times the build's scale, read from its scaled
-    utility table: the fuzzers compare utilities as these ints.
-
-    A mechanism's solve hands out one frozenset per answer mask and build
-    (:meth:`CycleGraph.checked_set`), so a strategy whose answer ``is`` the
-    honest one has the honest utility; the fuzzers test that first and
-    skip the scan."""
-    for v in chosen:
-        if agent in v.agents:
-            return utility[v.length]
-    return 0
+    utility table: the fuzzers compare utilities as these ints."""
+    mine = answer & tables.agent_mask.get(agent, 0)
+    return tables.utility[tables.nodes[mine.bit_length() - 1].length] if mine else 0
 
 
 @dataclass(frozen=True)
@@ -106,15 +103,15 @@ class RatioReport:
 
 
 def measure_ratio(
-    chosen: IndependentSet,
+    answer: int,
     graph: CycleGraph,
     bound: Fraction | None,
     instance: str = "",
     mechanism: str = "",
     node_cap: int = EXACT_NODE_CAP,
 ) -> RatioReport:
-    """Compare a mechanism's chosen set with the oracle's optimum."""
-    mech_weight = graph.weight(chosen)
+    """Compare a mechanism's answer mask with the oracle's optimum."""
+    mech_weight = graph.weight(graph.nodes_of(answer))
     oracle_weight = graph.weight(oracle_max_weight_is(graph, node_cap=node_cap))
     if oracle_weight < mech_weight:
         raise RuntimeError("oracle lost to a mechanism; oracle bug")
@@ -173,22 +170,23 @@ def _node_subsets(
         yield sum(node_bits[i] for i in bits(pick))
 
 
-def _unsaturated(graph: CycleGraph, base: IndependentSet) -> Iterator[tuple[int, int, int]]:
+def _unsaturated(graph: CycleGraph, base: int) -> Iterator[tuple[int, int, int]]:
     """``(agent, own node mask, honest scaled utility)`` for each agent a
     fuzzer attacks.  An agent with no node, or already at her best node's
     value in ``base``, is skipped: hiding can only yield nodes of hers."""
-    utility, length_mask = graph._tables.utility, graph._tables.length_mask
+    tables = graph._tables
+    utility, length_mask = tables.utility, tables.length_mask
     for agent in range(1, graph.n + 1):
         own = graph.agent_mask(agent)
         if not own:
             continue
-        honest = _scaled_utility(utility, base, agent)
+        honest = _scaled_utility(tables, base, agent)
         if honest < max(utility[ell] for ell, mask in length_mask.items() if own & mask):
             yield agent, own, honest
 
 
 def fuzz_truthfulness_nodes(
-    solver: Solver,
+    solve: Solve,
     graph: CycleGraph,
     budget: int = 64,
     seed: int = 0,
@@ -199,37 +197,33 @@ def fuzz_truthfulness_nodes(
     All findings are reported, not just the first.  Agents already at their
     best possible utility (the value of their shortest node) are skipped.
     """
-    base = solver(graph)
-    utility, scale = graph._tables.utility, graph._tables.scale
+    tables = graph._tables
     findings: list[ManipulationFinding] = []
-    for agent, own, honest in _unsaturated(graph, base):
+    for agent, own, honest in _unsaturated(graph, solve(graph)):
         rng = random.Random(_derive_seed(seed, agent, 1))
         for subset in _node_subsets(own, budget, rng, exhaustive_limit):
-            chosen = solver(graph.remove_nodes(subset))
-            if chosen is base:
-                continue
-            manipulated = _scaled_utility(utility, chosen, agent)
+            manipulated = _scaled_utility(tables, solve(graph.remove_nodes(subset)), agent)
             if manipulated > honest:
                 findings.append(
                     ManipulationFinding(
                         agent=agent,
                         kind="hide-nodes",
                         strategy=graph.nodes_of(subset),
-                        honest_utility=Fraction(honest, scale),
-                        manipulated_utility=Fraction(manipulated, scale),
+                        honest_utility=Fraction(honest, tables.scale),
+                        manipulated_utility=Fraction(manipulated, tables.scale),
                     )
                 )
     return findings
 
 
 def fuzz_truthfulness_wishlists(
-    solver: Solver,
+    solve: Solve,
     true_wishes: WishListVector,
     lam: LengthFunction,
     budget: int = 64,
     seed: int = 0,
     exhaustive_limit: int = EXHAUSTIVE_NODE_LIMIT,
-    node_order: Sequence[TradingCycle] | None = None,
+    graph: CycleGraph | None = None,
 ) -> list[ManipulationFinding]:
     """Search for an agent who profits from under-reporting her wish list.
 
@@ -237,15 +231,24 @@ def fuzz_truthfulness_wishlists(
     outgoing arc is concealed, so each reported subset is realized as a node
     deletion on the truthful conflict graph; distinct subsets with the same
     surviving cycle set are deduplicated by the mask of the concealed nodes
-    (arcs on no cycle cannot matter).  ``node_order`` is the instance's node
-    order, if it injects one, so the mechanism is attacked under the
-    tie-breaks it is run with; agents are skipped as the node fuzzer skips them.
+    (arcs on no cycle cannot matter).  Agents are skipped as the node
+    fuzzer skips them.
+
+    ``graph`` is the truthful conflict graph, built from ``true_wishes``
+    and ``lam`` in the instance's node order (so the mechanism is attacked
+    under the tie-breaks it is run with), or None to build it in the
+    default order.  A graph of another length function or agent count, or
+    a restriction, raises ``ValueError``.
     """
-    graph = build_from_wishes(true_wishes, lam, node_order)
-    base = solver(graph)
-    utility, scale = graph._tables.utility, graph._tables.scale
+    if graph is None:
+        graph = build_from_wishes(true_wishes, lam)
+    elif graph.lam != lam or graph.n != true_wishes.n:
+        raise ValueError("the graph's length function or agent count differs from the wish lists'")
+    elif graph.num_nodes != len(graph._tables.nodes):
+        raise ValueError("the wish-list fuzzer needs a whole build, not a restriction")
+    tables = graph._tables
     findings: list[ManipulationFinding] = []
-    for agent, own, honest in _unsaturated(graph, base):
+    for agent, own, honest in _unsaturated(graph, solve(graph)):
         full = sorted(true_wishes.of(agent))
         # kill[i]: the own nodes whose outgoing arc goes to wish full[i]; a
         # reported subset (bit i = full[i] kept) kills exactly the nodes of
@@ -269,9 +272,8 @@ def fuzz_truthfulness_wishlists(
             if removed in tried:
                 manipulated = tried[removed]
             else:
-                chosen = solver(graph.remove_nodes(removed))
-                manipulated = tried[removed] = (
-                    honest if chosen is base else _scaled_utility(utility, chosen, agent)
+                manipulated = tried[removed] = _scaled_utility(
+                    tables, solve(graph.remove_nodes(removed)), agent
                 )
             if manipulated > honest:
                 findings.append(
@@ -279,34 +281,30 @@ def fuzz_truthfulness_wishlists(
                         agent=agent,
                         kind="wishlist-subset",
                         strategy=tuple(full[i] for i in bits(mask)),
-                        honest_utility=Fraction(honest, scale),
-                        manipulated_utility=Fraction(manipulated, scale),
+                        honest_utility=Fraction(honest, tables.scale),
+                        manipulated_utility=Fraction(manipulated, tables.scale),
                     )
                 )
     return findings
 
 
 def test_inpa(
-    solver: Solver,
+    solve: Solve,
     graph: CycleGraph,
     budget: int = 64,
     seed: int = 0,
     exhaustive_limit: int = EXHAUSTIVE_NODE_LIMIT,
 ) -> bool:
     """True iff hiding node subsets of non-served agents never changes the
-    output set (node-for-node)."""
-    base = solver(graph)
-    served = graph.agents_of(base)
+    answer (node-for-node)."""
+    base = solve(graph)
     for agent in range(1, graph.n + 1):
-        if agent in served:
-            continue
         own = graph.agent_mask(agent)
-        if not own:
+        if not own or own & base:  # no node, or served
             continue
         rng = random.Random(_derive_seed(seed, agent, 3))
         for subset in _node_subsets(own, budget, rng, exhaustive_limit):
-            chosen = solver(graph.remove_nodes(subset))
-            if chosen is not base and chosen != base:
+            if solve(graph.remove_nodes(subset)) != base:
                 return False
     return True
 

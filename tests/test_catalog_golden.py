@@ -78,7 +78,7 @@ def mechanisms(graph):
 def run(mechanism, graph):
     """The output (cycles in canonical order) and firings of one solve."""
     stats = SearchStats()
-    chosen = mechanism.solve(graph, stats)
+    chosen = graph.nodes_of(mechanism.solve(graph, stats))
     cycles = " ".join(sorted("-".join(map(str, v.agents)) for v in chosen))
     firings = " ".join(f"{rule}={count}" for rule, count in sorted(stats.firings.items()))
     return [cycles, firings]

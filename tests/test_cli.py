@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import bxmech
 import bxmech.cli
+import bxmech.cyclegraph
 from bxmech.cli import build_generator_spec, build_parser, expand_generator_family, main
-from bxmech.instances import gen_ladder, gen_random, save_instance
+from bxmech.instances import gen_ladder, gen_nonrealizable, gen_random, save_instance
 
 
 def run(capsys, *argv):
@@ -56,6 +57,41 @@ class TestGen:
 
     def test_unknown_family_exits_one(self, capsys):
         assert run(capsys, "gen", "mystery:q=1")[0] == 1
+
+    def test_fan_takes_uniform_lambda_by_default(self, capsys):
+        code, out, err = run(capsys, "gen", "fan:k=3")
+        assert code == 0
+        assert json.loads(out)["lambda"] == ["1/1", "1/1"]
+        assert err == "fan-k3: n=7 agents, 3 cycles -> <stdout>\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gbad:q=1,2", "parameter q takes one value, got '1,2'"),
+            ("rand:n=5,p=x", "parameter p must be a number, got 'x'"),
+        ],
+    )
+    def test_bad_parameter_value_exits_one(self, capsys, spec, message):
+        code, out, err = run(capsys, "gen", spec)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # each of these used to exit 0: the misspelt seed gave seed 0,
+            # gbad ignored k, and the sweep printed every row three times
+            (["gen", "rand:n=5,k=3,p=0.5,sed=3"], "unknown parameter sed for rand"),
+            (["gen", "gbad:q=1,k=7"], "unknown parameter k for gbad"),
+            (["gen", "nonrealizable:n=4"], "unknown parameter n for nonrealizable"),
+            (["profile-lambda", "k=3,lambda=1,1/2,zz=4"], "unknown parameter zz for profile-lambda"),
+            (["sweep", "gbad:q=1..2,foo=1..3", "ls:q=*"], "unknown parameter foo for gbad"),
+        ],
+    )
+    def test_unknown_parameter_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSolve:
@@ -182,11 +218,12 @@ class TestSolve:
             (lambda doc: {**doc, "n": None}, "'n' must be an integer"),
             (lambda doc: {**doc, "wishes": [1] * 6}, "list of integer lists"),
             (lambda doc: {**doc, "lambda": ["1", "1/0"]}, "zero denominator"),
+            (lambda doc: {**doc, "lambda": [1, "9/10"]}, "'lambda' must be a list of rational strings"),
             (lambda doc: {**doc, "params": ["q"]}, "'params' must be an object or null"),
         ],
         ids=[
             "no-n", "short-wishes", "top-level-list", "null-n", "flat-wishes", "zero-den",
-            "list-params",
+            "int-lambda", "list-params",
         ],
     )
     def test_malformed_instance_exits_one(self, tmp_path, capsys, damage, message):
@@ -244,13 +281,28 @@ class TestFuzz:
         real = bxmech.cli.fuzz_truthfulness_wishlists
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("node_order"))
+            seen.append(kwargs["graph"].nodes)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bxmech.cli, "fuzz_truthfulness_wishlists", spy)
         path = gen_file(tmp_path, "ladder:k=3,N=1")
         run(capsys, "fuzz", str(path), "greedy", "--budget", "4")
-        assert seen == [gen_ladder(3, 1).node_order]
+        assert seen == [gen_ladder(3, 1).graph().nodes]
+
+    def test_fuzz_builds_the_graph_once(self, tmp_path, capsys, monkeypatch):
+        # both fuzzers attack the one graph the command loads
+        path = gen_file(tmp_path, "rand:n=8,k=3,p=0.5,seed=5")
+        builds = []
+        real = bxmech.cyclegraph.build_graph
+
+        def counted(*args, **kwargs):
+            builds.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bxmech.cyclegraph, "build_graph", counted)
+        code, out, _ = run(capsys, "fuzz", str(path), "ls:q=1", "--budget", "8")
+        assert code == 0 and out == ""
+        assert builds == [8]
 
     def test_negative_budget_exits_one(self, tmp_path, capsys):
         path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1")
@@ -385,6 +437,27 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "gbad:q=1", "greedy+ls:q=1")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_json_rows_are_the_csv_rows(self, capsys):
+        argv = ["sweep", "gbad:q=1..2", "greedy+ls:q=*"]
+        code, csv_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert out == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        header, *lines = csv_out.splitlines()
+        assert header.split(",") == [
+            "instance", "mechanism", "weight", "oracle", "ratio", "bound",
+            "within_bound", "ratio_decimal",
+        ]
+        assert len(rows) == len(lines) == 4
+        for row, line in zip(rows, lines):
+            assert line.split(",") == [
+                row["instance"], row["mechanism"], row["weight"], row["oracle"],
+                row["ratio"], row["bound"], "true" if row["within_bound"] else "false",
+                repr(row["ratio_decimal"]),
+            ]
 
 
 class TestProfileLambda:
@@ -564,9 +637,14 @@ def test_malformed_input_gets_a_clean_error(six_agent_file, data):
 
 class TestSpecHelpers:
     def test_expand_ranges(self):
-        specs = expand_generator_family("gbad:q=2..4")
-        assert specs == ["gbad:q=2", "gbad:q=3", "gbad:q=4"]
-        assert expand_generator_family("nonrealizable") == ["nonrealizable"]
+        bundles = list(expand_generator_family("gbad:q=2..4"))
+        assert bundles == [build_generator_spec(f"gbad:q={q}") for q in (2, 3, 4)]
+        assert [b.name for b in bundles] == ["gbad-q2", "gbad-q3", "gbad-q4"]
+        assert list(expand_generator_family("nonrealizable")) == [gen_nonrealizable()]
+        bundles = list(expand_generator_family("rand:n=5..6,seed=1,lambda=1,1/2"))
+        assert bundles == [
+            build_generator_spec(f"rand:n={n},seed=1,lambda=1,1/2") for n in (5, 6)
+        ]
 
     def test_lambda_passthrough(self):
         bundle = build_generator_spec("rand:n=5,p=0.5,seed=1,k=3,lambda=1,1/2")

@@ -322,30 +322,6 @@ def test_restriction_is_a_view_of_the_shared_build(seed, data):
         g.remove_nodes(1 << g.num_nodes)
 
 
-def test_checked_table_is_shared_by_restrictions_and_rebuilt_empty():
-    # one table of checked answers per build: each restriction reads and
-    # fills the built graph's table, and a rebuild starts with its own
-    g = build_from_wishes(complete_digraph(4), UNIFORM3)
-    table = g._tables.checked
-    assert table == {}
-    pair = g.mask_of([TradingCycle((1, 2)), TradingCycle((3, 4))])
-    first = g.checked_set(pair)
-    assert first == g.set_of(pair) and table == {pair: first}
-    view = g
-    for v in g.nodes:
-        if pair >> g.rank(v) & 1:
-            continue
-        view = view.remove_nodes(1 << g.rank(v))
-        assert view._tables.checked is table
-        assert view.checked_set(pair) is first
-    assert view.nodes == g.nodes_of(pair)
-    assert view.checked_set(1) is g.checked_set(1)  # node (1, 2)
-    assert table.keys() == {pair, 1}
-    rebuilt = build_graph(g.nodes, g.n, UNIFORM3, node_order=g.nodes)
-    assert rebuilt._tables.checked == {} and rebuilt._tables.checked is not table
-    assert rebuilt == g
-
-
 def test_equality_ignores_the_memo():
     g = build_from_wishes(complete_digraph(4), UNIFORM3)
     twin = build_graph(g.nodes, g.n, UNIFORM3, node_order=g.nodes)

@@ -138,7 +138,7 @@ class TestGbad:
     def test_search_stalls_on_blue(self, q):
         bundle = gen_gbad(q)
         g = bundle.graph()
-        out = ls_mechanism(q).solve(g)
+        out = g.set_of(ls_mechanism(q).solve(g))
         assert out == gbad_blue_set(q)
         assert g.weight(out) == expected_value(bundle, "stalled_weight")
         best = oracle_max_weight_is(g)

@@ -542,7 +542,7 @@ def reference_greedy(graph, lo, hi, stats):
         picked = run_local_search(length_j, [rule], stats).final
         out |= picked
         remaining = remaining.remove_nodes(picked | remaining.neighborhood_mask(picked))
-    return graph.set_of(out)
+    return out
 
 
 class TestConcatenate:

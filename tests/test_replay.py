@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxmech.core import LengthFunction, WishListVector
-from bxmech.cyclegraph import build_from_wishes, build_graph
+from bxmech.cyclegraph import bits, build_from_wishes, build_graph
 from bxmech.instances import gen_random
 from bxmech.localsearch import SearchStats
 from bxmech.mechanisms import (
@@ -135,7 +135,7 @@ def test_one_node_restrictions_equal_the_solvers_own_run():
             m.solve(graph)
             for i in range(graph.num_nodes):
                 view = graph.remove_nodes(1 << i)
-                assert m.solve(view) == view.set_of(m.solver(view)[0]), m.name
+                assert m.solve(view) == m.solver(view)[0], m.name
 
 
 def counting():
@@ -161,8 +161,28 @@ def test_hand_written_solver_runs_as_on_a_fresh_build():
     views = [graph] + [graph.remove_nodes(1 << i) for i in range(1, graph.num_nodes)]
     for view in views:
         assert hand.solve(view) == fresh_solve(replace(hand, solver=fresh_run), graph, view._alive)
-    assert hand.solve(graph) == graph.set_of(1)  # from the record
+    assert hand.solve(graph) == 1  # from the record
     assert shared_calls == fresh_calls == [view._alive for view in views]
+
+
+def test_records_are_shared_by_restrictions_and_rebuilt_empty():
+    # one table of solve records per build: a restriction reads and fills
+    # the built graph's table, and a rebuild starts with its own
+    graph = gen_random(7, 3, 0.5, 8, lam=lam_of("flat", 3)).graph()  # 20 nodes
+    table = graph._tables.recorded
+    assert table == {}
+    m = greedy_mechanism()
+    answer = m.solve(graph)
+    record = (graph._alive, answer, answer)  # greedy's footprint is its picks
+    assert table == {m.solver: record}
+    for i in bits(graph._alive):
+        view = graph.remove_nodes(1 << i)
+        assert view._tables.recorded is table
+        assert m.solve(view) == m.solver(view)[0]
+        assert table == {m.solver: record}
+    rebuilt = build_graph(graph.nodes, graph.n, graph.lam, node_order=graph.nodes)
+    assert rebuilt._tables.recorded == {} and rebuilt._tables.recorded is not table
+    assert rebuilt == graph
 
 
 def test_solve_with_stats_runs_in_full():
@@ -252,9 +272,9 @@ def test_footprint_holds_the_nodes_a_swap_evicted():
     graph = build_from_wishes(wishes, LengthFunction.uniform(3))
     m = ls_mechanism(1)
     pair, triangle = graph.nodes
-    assert m.solve(graph) == {triangle}
+    assert graph.set_of(m.solve(graph)) == {triangle}
     assert graph._tables.recorded[m.solver] == (
         graph._alive, graph._alive, graph.mask_of([triangle])
     )
-    assert m.solve(graph.remove_nodes(graph.mask_of([pair]))) == {triangle}
-    assert m.solve(graph.remove_nodes(graph.mask_of([triangle]))) == {pair}
+    assert graph.set_of(m.solve(graph.remove_nodes(graph.mask_of([pair])))) == {triangle}
+    assert graph.set_of(m.solve(graph.remove_nodes(graph.mask_of([triangle])))) == {pair}

@@ -45,6 +45,7 @@ from bxmech.verification import test_inpa as inpa_check
 
 UNIFORM3 = LengthFunction.uniform(3)
 FLAT3 = LengthFunction.of(3, "1", "9/10")
+STEEP3 = LengthFunction.of(3, "1", "1/2")
 
 
 class TestOracle:
@@ -81,9 +82,24 @@ class TestOracle:
 
 def test_graph_utility_reads_serving_node():
     g = gen_comb(2, 3, 3, FLAT3).graph()
-    ch = comb_horizontal_cycle(2)
-    assert graph_utility(g, frozenset({ch}), 1) == 1
-    assert graph_utility(g, frozenset({ch}), 3) == 0
+    ch = g.mask_of([comb_horizontal_cycle(2)])
+    assert graph_utility(g, ch, 1) == 1
+    assert graph_utility(g, ch, 3) == 0
+    # the agent's own node, not the answer's first one, gives her value
+    pair, triangle = TradingCycle((1, 2)), TradingCycle((3, 4, 5))
+    g = build_graph([pair, triangle], 6, FLAT3)
+    both = g.mask_of([pair, triangle])
+    assert [graph_utility(g, both, a) for a in range(1, 7)] == [1, 1] + [Fraction(9, 10)] * 3 + [0]
+    assert graph_utility(g, 0, 1) == 0
+
+
+def scanned_utility(graph, answer, agent):
+    """An agent's utility from an answer mask, by a scan of its nodes: the
+    references below read utilities this way, not through the library."""
+    for v in graph.nodes_of(answer):
+        if agent in v.agents:
+            return graph.lam(v.length)
+    return Fraction(0)
 
 
 class TestMeasureRatio:
@@ -111,6 +127,13 @@ class TestMeasureRatio:
         g = build_graph([TradingCycle((1, 2))], 2, UNIFORM3)
         report = measure_ratio(greedy_mechanism().solve(g), g, bound=None)
         assert report.ratio == 1
+
+    def test_empty_answer_against_a_positive_optimum_is_infinite(self):
+        g = build_graph([TradingCycle((1, 2))], 2, UNIFORM3)
+        report = measure_ratio(0, g, bound=Fraction(3))
+        assert (report.mechanism_weight, report.oracle_weight) == (0, 2)
+        assert report.ratio is None and report.ratio_str() == "inf"
+        assert not report.within_bound
 
 
 def test_finding_requires_strict_improvement():
@@ -187,13 +210,13 @@ def reference_node_fuzz(solver, graph, budget, seed):
         own = graph.agent_mask(agent)
         if not own:
             continue
-        honest = graph_utility(graph, base, agent)
+        honest = scanned_utility(graph, base, agent)
         if honest >= max(graph.lam(v.length) for v in graph.nodes_of(own)):
             continue
         rng = random.Random(_derive_seed(seed, agent, 1))
         for subset in deposit_subsets(own, budget, rng, EXHAUSTIVE_NODE_LIMIT):
             reduced = graph.remove_nodes(subset)
-            manipulated = graph_utility(reduced, solver(reduced), agent)
+            manipulated = scanned_utility(reduced, solver(reduced), agent)
             if manipulated > honest:
                 findings.append(
                     ManipulationFinding(
@@ -276,12 +299,22 @@ class TestWishlistFuzz:
 
         def solver(graph):
             seen.append(graph.nodes)
-            return frozenset()
+            return 0
 
-        fuzz_truthfulness_wishlists(
-            solver, bundle.wishes, bundle.lam, node_order=bundle.node_order
-        )
+        fuzz_truthfulness_wishlists(solver, bundle.wishes, bundle.lam, graph=bundle.graph())
         assert seen[0] == bundle.graph().nodes
+
+    def test_refuses_a_graph_of_other_wish_lists(self):
+        bundle = gen_comb(2, 3, 3, FLAT3)
+        graph = bundle.graph()
+        solve = greedy_mechanism().solve
+        other_lam = build_from_wishes(bundle.wishes, STEEP3)
+        more_agents = build_graph(graph.nodes, graph.n + 1, FLAT3)
+        restriction = graph.remove_nodes(graph._alive & -graph._alive)
+        for bad in (other_lam, more_agents, restriction):
+            with pytest.raises(ValueError):
+                fuzz_truthfulness_wishlists(solve, bundle.wishes, FLAT3, graph=bad)
+        assert fuzz_truthfulness_wishlists(solve, bundle.wishes, FLAT3, graph=graph) == []
 
     def test_double_comb_replay_consistency(self):
         lam = FLAT3
@@ -293,7 +326,7 @@ class TestWishlistFuzz:
             for i, wishes in enumerate(script):
                 g = build_from_wishes(wishes, lam)
                 out = mech.solve(g)
-                assert c_r not in out
+                assert c_r not in g.set_of(out)
                 if i >= 1:
                     deviator = h + i
                     assert graph_utility(g, out, deviator) <= graph_utility(
@@ -314,7 +347,7 @@ def reference_wishlist_fuzz(solver, true_wishes, lam, budget, seed, exhaustive_l
         own = graph.agent_mask(agent)
         if not own:
             continue
-        honest = graph_utility(graph, base, agent)
+        honest = scanned_utility(graph, base, agent)
         if honest >= max(lam(v.length) for v in graph.nodes_of(own)):
             continue
         full = sorted(true_wishes.of(agent))
@@ -330,7 +363,7 @@ def reference_wishlist_fuzz(solver, true_wishes, lam, budget, seed, exhaustive_l
             reported = frozenset(full[i] for i in range(m) if mask & (1 << i))
             removed = sum(bit for bit, nxt in arcs if nxt not in reported)
             if removed not in tried:
-                tried[removed] = graph_utility(
+                tried[removed] = scanned_utility(
                     graph, solver(graph.remove_nodes(removed)), agent
                 )
             if tried[removed] > honest:
@@ -352,7 +385,7 @@ def parity_greedy(graph):
         if not blocked >> i & 1:
             picks |= 1 << i
             blocked |= adj[i]
-    return graph.set_of(picks)
+    return picks
 
 
 @settings(max_examples=100, deadline=None)
@@ -394,8 +427,9 @@ def test_kill_masks_match_the_reported_set_scan(data):
 
         return recorded
 
+    graph = None if order is None else build_from_wishes(wishes, lam, order)
     mine = fuzz_truthfulness_wishlists(
-        recording(calls["fuzzer"]), wishes, lam, budget, seed, limit, order
+        recording(calls["fuzzer"]), wishes, lam, budget, seed, limit, graph
     )
     expect = reference_wishlist_fuzz(
         recording(calls["reference"]), wishes, lam, budget, seed, limit, order

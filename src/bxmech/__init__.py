@@ -16,7 +16,6 @@ from .core import (
 )
 from .cyclegraph import (
     CycleGraph,
-    IndependentSet,
     build_from_wishes,
     build_graph,
     enumerate_cycles,

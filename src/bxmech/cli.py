@@ -238,8 +238,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     stats = SearchStats()
     answer = mech.solve(graph, stats)
-    chosen = graph.set_of(answer)
-    welfare = graph.weight(chosen)
+    chosen = graph.nodes_of(answer)
+    welfare = graph.weight(answer)
     try:
         ratio = measure_ratio(
             answer,

@@ -12,12 +12,12 @@ compare plain ints; ``weight`` returns a ``Fraction``.
 
 The node set is kept in a total order (default: by length then canonical
 agent sequence, injectable per instance); every "lexicographically first"
-choice made by the search rules refers to this order.  Inside the library a
-set of nodes is an int mask, bit i meaning node i of the built graph:
-adjacency is stored that way, and the rules, the solvers, the mechanisms'
-answers and :meth:`CycleGraph.remove_nodes` take and return masks.
-Frozensets of cycles appear only at the API, through ``mask_of``,
-``nodes_of`` and ``set_of``.
+choice made by the search rules refers to this order.  A set of nodes is
+an int mask, bit i meaning node i of the built graph: adjacency is stored
+that way, and every :class:`CycleGraph` query, the rules, the solvers and
+the mechanisms' answers take and return masks.  Cycles meet masks only
+through two converters: ``mask_of`` (cycles to mask) and ``nodes_of`` (mask
+to its cycles in node order).
 
 :func:`build_graph` computes its tables once, in one :class:`GraphTables`:
 the nodes, ranks, adjacency, agent, length and value-class masks, each
@@ -45,8 +45,6 @@ from .core import (
     _canonical_cycle,
     cycle_sort_key,
 )
-
-IndependentSet = frozenset[TradingCycle]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -114,12 +112,24 @@ def enumerate_cycles(wishes: WishListVector, k: int) -> list[TradingCycle]:
     return found
 
 
+def scaled_weight(weights: Sequence[int], mask: int) -> int:
+    """Total of ``weights[i]`` over the bits i of ``mask``: the scaled
+    weight of those nodes when ``weights`` is a build's weight table."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out += weights[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class GraphTables:
     """Everything one :func:`build_graph` call computes, shared by the built
     graph and every restriction of it.
 
-    Bit i of every mask is node i of the build, in its node order.
+    Bit i of every mask is node i of the build, in its node order, and
+    ``rank`` maps each node to its i (:meth:`CycleGraph.mask_of` reads it).
     ``weights[i]`` is node i's weight times ``scale`` and ``utility[l]`` is
     lambda(l) times ``scale``, both ints: ``scale`` is the least common
     multiple of lambda's denominators, so weights and utilities share one
@@ -163,10 +173,9 @@ class CycleGraph:
     count, length function, node order and alive mask; the tables filled by
     use take no part.  Do not assign to either field: the tables are shared.
 
-    The rank of a node is its index in the built graph.  On a restricted
-    graph the ranks may skip numbers, but they keep the order, so ranks
-    still compare exactly as the graph's node order does, and ``nodes``
-    lists the alive nodes in that order.
+    Bit i of a mask is node i of the built graph, on every restriction
+    too: a restricted graph's masks may skip bits, but they keep the node
+    order, and ``nodes`` lists the alive nodes in that order.
     """
 
     def __init__(self, tables: GraphTables, alive: int) -> None:
@@ -207,19 +216,14 @@ class CycleGraph:
     def num_nodes(self) -> int:
         return self._alive.bit_count()
 
-    def __contains__(self, node: TradingCycle) -> bool:
-        r = self._tables.rank.get(node)
-        return r is not None and (self._alive >> r) & 1 == 1
-
-    def rank(self, node: TradingCycle) -> int:
-        r = self._tables.rank.get(node)
-        if r is None or not (self._alive >> r) & 1:
-            raise KeyError(f"unknown node {node}")
-        return r
-
-    def weight(self, nodes: Iterable[TradingCycle]) -> Fraction:
+    def weight(self, mask: int) -> Fraction:
+        """Total weight of the nodes of ``mask``.  Every bit must be an
+        alive node."""
         t = self._tables
-        return Fraction(sum(t.weights[self.rank(v)] for v in nodes), t.scale)
+        dead = mask & ~self._alive
+        if dead:
+            raise KeyError(f"node {dead.bit_length() - 1} is not alive")
+        return Fraction(scaled_weight(t.weights, mask), t.scale)
 
     def mask_of(self, nodes: Iterable[TradingCycle]) -> int:
         rank = self._tables.rank
@@ -239,12 +243,6 @@ class CycleGraph:
         nodes = self._tables.nodes
         return tuple(nodes[i] for i in bits(mask))
 
-    def set_of(self, mask: int) -> IndependentSet:
-        return frozenset(self.nodes_of(mask))
-
-    def neighbors(self, node: TradingCycle) -> IndependentSet:
-        return self.set_of(self._tables.adj[self.rank(node)] & self._alive)
-
     def neighborhood_mask(self, mask: int) -> int:
         adj = self._tables.adj
         out = 0
@@ -254,19 +252,9 @@ class CycleGraph:
             mask ^= low
         return out & self._alive
 
-    def is_independent(self, nodes: Iterable[TradingCycle]) -> bool:
-        return self.is_independent_mask(self.mask_of(nodes))
-
-    def is_independent_mask(self, mask: int) -> bool:
+    def is_independent(self, mask: int) -> bool:
         """Whether ``mask`` holds alive nodes only, no two of them adjacent."""
         return not (mask & ~self._alive or mask & self.neighborhood_mask(mask))
-
-    def agents_of(self, nodes: Iterable[TradingCycle]) -> frozenset[int]:
-        out: set[int] = set()
-        for v in nodes:
-            self.rank(v)
-            out.update(v.agents)
-        return frozenset(out)
 
     def agent_mask(self, agent: int) -> int:
         """Mask of the alive nodes the agent partakes in."""
@@ -286,8 +274,8 @@ class CycleGraph:
     def remove_nodes(self, drop_mask: int) -> "CycleGraph":
         """Induced subgraph without the nodes of ``drop_mask``: the same
         tables with those bits cleared from the alive mask, so node order,
-        ranks and the exact-solve memo are shared.  Every bit must be an
-        alive node."""
+        bit positions and the exact-solve memo are shared.  Every bit must
+        be an alive node."""
         alive = self._alive
         dead = drop_mask & ~alive
         if dead:

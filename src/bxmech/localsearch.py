@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .cyclegraph import CycleGraph
+from .cyclegraph import CycleGraph, scaled_weight
 
 
 class RuleContractError(RuntimeError):
@@ -77,16 +77,6 @@ def _agent_bits(graph: CycleGraph, mask: int) -> int:
     while mask:
         low = mask & -mask
         out |= table[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _weight(weights: Sequence[int], mask: int) -> int:
-    """Scaled weight of the nodes in ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out += weights[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -202,7 +192,7 @@ def _all_for_q_apply_factory(
         # sanity: the bookkeeping above can only produce heavier sets; X
         # lies outside the current set, so w(result) - w(current) is
         # w(X) - w(evicted)
-        assert _weight(weights, x_mask) > _weight(weights, evict_mask)
+        assert scaled_weight(weights, x_mask) > scaled_weight(weights, evict_mask)
         return (cur_mask & ~evict_mask) | x_mask
 
     return apply_fn
@@ -315,7 +305,9 @@ def run_local_search(
                 )
             removed = current & ~result
             new_weight = (
-                current_weight + _weight(weights, added) - _weight(weights, removed)
+                current_weight
+                + scaled_weight(weights, added)
+                - scaled_weight(weights, removed)
             )
             if new_weight <= current_weight:
                 raise RuleContractError(

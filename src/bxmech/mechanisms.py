@@ -11,8 +11,8 @@ union of the local search's steps, the exact solve's answer, the union of
 a concatenation's parts); each block is built once per parameter set.  A
 :class:`Mechanism` packages a solver with its claimed approximation bound
 and the class of length functions it is truthful for, and hands out the
-solver's answer mask once it has checked it (``graph.set_of`` turns a mask
-into its frozenset of cycles):
+solver's answer mask once it has checked it (``graph.nodes_of`` lists its
+cycles):
 
 * ``greedy``: fill shortest cycles first (phase per length, each phase an
   expansion-only local search); claimed ratio k, truthful for every length
@@ -291,7 +291,7 @@ class Mechanism:
             independent = not answer & ~alive
         else:
             answer, footprint = solver(graph, stats)
-            independent = graph.is_independent_mask(answer)
+            independent = graph.is_independent(answer)
             if independent and stats is None and (record is None or not record[0] & ~alive):
                 recorded[solver] = (alive, footprint, answer)
         if not independent:
@@ -375,6 +375,11 @@ def _nu_solver(q: int) -> Solver:
 
 
 def nu_mechanism(q: int) -> Mechanism:
+    # ls refuses q < 1 as it builds its rule; nu builds its tail's rule on
+    # its first solve, so it refuses q here
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+
     def bound(lam: LengthFunction) -> Fraction | None:
         profile = lambda_profile(lam)
         if profile.rho is None:

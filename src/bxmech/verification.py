@@ -9,7 +9,7 @@ all.  Findings are strict utility improvements only.
 The adversaries take a solve, a function from a graph to an answer node
 mask such as a bound :meth:`bxmech.mechanisms.Mechanism.solve`; they
 compare answers as ints and read an agent's utility from the answer's
-nodes among hers.  The oracle hands out a frozenset of cycles.
+nodes among hers.  The oracle returns a node mask too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     WishListVector,
     rational_str,
 )
-from .cyclegraph import CycleGraph, GraphTables, IndependentSet, bits, build_from_wishes
+from .cyclegraph import CycleGraph, GraphTables, bits, build_from_wishes
 from .exact import EXACT_NODE_CAP, max_weight_independent_set
 
 Solve = Callable[[CycleGraph], int]  # a graph -> its answer node mask
@@ -33,19 +33,18 @@ Solve = Callable[[CycleGraph], int]  # a graph -> its answer node mask
 EXHAUSTIVE_NODE_LIMIT = 12  # per-agent strategy spaces up to 2**12 are enumerated
 
 
-def oracle_max_weight_is(
-    graph: CycleGraph, node_cap: int = EXACT_NODE_CAP
-) -> IndependentSet:
-    """A maximum-weight independent set, found by exhaustive search.
+def oracle_max_weight_is(graph: CycleGraph, node_cap: int = EXACT_NODE_CAP) -> int:
+    """The node mask of a maximum-weight independent set, found by
+    exhaustive search.
 
     Instances with few agents are solved through the agent-subset route no
     matter how many nodes they have; otherwise the node count must stay
     under ``node_cap``, or :class:`ExactSearchCapExceeded` is raised.
     """
     mask = max_weight_independent_set(graph, node_cap=node_cap)
-    if not graph.is_independent_mask(mask):
+    if not graph.is_independent(mask):
         raise RuntimeError("oracle produced a dependent set; oracle bug")
-    return graph.set_of(mask)
+    return mask
 
 
 def graph_utility(graph: CycleGraph, answer: int, agent: int) -> Fraction:
@@ -111,7 +110,7 @@ def measure_ratio(
     node_cap: int = EXACT_NODE_CAP,
 ) -> RatioReport:
     """Compare a mechanism's answer mask with the oracle's optimum."""
-    mech_weight = graph.weight(graph.nodes_of(answer))
+    mech_weight = graph.weight(answer)
     oracle_weight = graph.weight(oracle_max_weight_is(graph, node_cap=node_cap))
     if oracle_weight < mech_weight:
         raise RuntimeError("oracle lost to a mechanism; oracle bug")

@@ -257,6 +257,26 @@ class TestSolve:
     def test_missing_file_exits_one(self, capsys):
         assert run(capsys, "solve", "/nonexistent.json", "greedy")[0] == 1
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_q_below_one_exits_one(self, tmp_path, capsys, q):
+        # refused when the spec is parsed: before sweep computes the claimed
+        # bound, which divides by q, and on every lottery draw, including
+        # the draws that never run the base
+        family = "rand:n=6,k=3,p=0.5,lambda=1,1/2"
+        path = gen_file(tmp_path, family)
+        capsys.readouterr()
+        runs = [
+            ("solve", str(path), f"ls:q={q}"),
+            ("solve", str(path), f"nu:q={q}"),
+            ("sweep", family, f"nu:q={q}"),
+        ] + [
+            ("--seed", str(seed), "solve", str(path), f"rand:zeta=99/100:base=nu:q={q}")
+            for seed in range(6)
+        ]
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: q must be positive, got {q}\n"), argv
+
     def test_negative_oracle_cap_exits_one(self, tmp_path, capsys):
         path = gen_file(tmp_path, "rand:n=6,k=3,p=0.5,seed=1")
         capsys.readouterr()

@@ -14,11 +14,31 @@ from bxmech.core import (
     cycle_sort_key,
     social_welfare,
 )
-from bxmech.cyclegraph import build_from_wishes, build_graph, enumerate_cycles
+from bxmech.cyclegraph import bits, build_from_wishes, build_graph, enumerate_cycles
 from bxmech.exact import max_weight_independent_set
 from bxmech.instances import gen_random
 
 UNIFORM3 = LengthFunction.uniform(3)
+
+# The references below read nothing from the graph's tables: two cycles are
+# adjacent when they share an agent, a node weighs length * lam(length), and
+# bit i of a mask is the node at position i of the built graph's ``nodes``.
+
+
+def shares_agent(u, v):
+    return not set(u.agents).isdisjoint(v.agents)
+
+
+def mask_at(built, nodes):
+    """The mask of ``nodes`` by their positions in ``built``, a built
+    graph's node tuple."""
+    return sum(1 << built.index(v) for v in nodes)
+
+
+def neighbors_at(built, alive, v):
+    """The mask of the nodes of ``alive`` other than v that share an agent
+    with it."""
+    return mask_at(built, [u for u in alive if u != v and shares_agent(u, v)])
 
 
 def complete_digraph(n):
@@ -160,20 +180,62 @@ def test_build_rejects_overlong_and_foreign_cycles():
 def test_adjacency_by_shared_agent():
     a, b, c = TradingCycle((1, 2)), TradingCycle((3, 4)), TradingCycle((2, 3))
     g = build_graph([a, b, c], 4, UNIFORM3)
-    assert g.neighbors(a) == frozenset({c})
-    assert g.neighbors(b) == frozenset({c})
-    assert g.neighbors(c) == frozenset({a, b})
-    assert g.is_independent({a, b})
-    assert not g.is_independent({a, c})
+    assert g.nodes == (a, c, b)  # (length, sequence) order
+    assert g.neighborhood_mask(0b001) == 0b010
+    assert g.neighborhood_mask(0b100) == 0b010
+    assert g.neighborhood_mask(0b010) == 0b101
+    assert g.is_independent(0b101)
+    assert not g.is_independent(0b011)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 4]), st.data())
+def test_adjacency_matches_shared_agents(seed, k, data):
+    g = gen_random(8, k, 0.4, seed, lam=LengthFunction.uniform(k)).graph()
+    g = build_graph(g.nodes, 8, g.lam, node_order=data.draw(st.permutations(g.nodes)))
+    built = g.nodes
+    drop = data.draw(st.sets(st.sampled_from(built))) if built else set()
+    view = g.remove_nodes(mask_at(built, drop))
+    for graph in (g, view):
+        for v in built:
+            assert graph.neighborhood_mask(mask_at(built, [v])) == neighbors_at(
+                built, graph.nodes, v
+            )
+        picked = data.draw(st.sets(st.sampled_from(graph.nodes))) if graph.nodes else set()
+        expect = all(
+            not shares_agent(u, v) for u, v in itertools.combinations(picked, 2)
+        )
+        assert graph.is_independent(mask_at(built, picked)) == expect
 
 
 def test_weights_and_sets():
     lam = LengthFunction.of(3, "1", "9/10")
     v = TradingCycle((1, 2, 3))
     g = build_graph([v], 3, lam)
-    assert g.weight([v]) == Fraction(27, 10)
-    assert g.weight([]) == 0
-    assert g.is_independent(frozenset())
+    assert g.weight(1) == Fraction(27, 10)
+    assert g.weight(0) == 0
+    assert g.is_independent(0)
+
+
+def test_weight_of_a_dead_bit_raises():
+    a, b = TradingCycle((1, 2)), TradingCycle((3, 4))
+    g = build_graph([a, b], 4, UNIFORM3)
+    view = g.remove_nodes(0b01)
+    assert view.weight(0b10) == 2
+    for graph, mask in [(view, 0b01), (view, 0b11), (g, 0b100), (view.remove_nodes(0b10), 0b10)]:
+        with pytest.raises(KeyError):
+            graph.weight(mask)
+
+
+def test_a_dead_bit_is_not_independent():
+    # a and b share no agent: only a's being dead makes {a, b} dependent
+    a, b = TradingCycle((1, 2)), TradingCycle((3, 4))
+    g = build_graph([a, b], 4, UNIFORM3)
+    view = g.remove_nodes(0b01)
+    assert g.is_independent(0b11) and view.is_independent(0b10)
+    for mask in (0b01, 0b11):
+        assert not view.is_independent(mask)
+    assert not g.is_independent(0b100)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,14 +255,19 @@ def test_weights_are_fractions_at_the_api(values, seed, data):
         return
     picked = data.draw(st.sets(st.sampled_from(g.nodes)))
     dropped = data.draw(st.sets(st.sampled_from(g.nodes)))
-    for graph in (g, g.remove_nodes(g.mask_of(dropped))):
-        chosen = [v for v in picked if v in graph]
+    built = g.nodes
+    for graph in (g, g.remove_nodes(mask_at(built, dropped))):
+        chosen = [v for v in picked if v in graph.nodes]
         expect = sum((v.length * lam(v.length) for v in chosen), start=Fraction(0))
-        mask = graph.mask_of(chosen)
-        for total in (graph.weight(chosen), graph.weight(graph.nodes_of(mask))):
-            assert isinstance(total, Fraction) and total == expect
+        mask = mask_at(built, chosen)
+        assert graph.mask_of(chosen) == mask
+        total = graph.weight(mask)
+        assert isinstance(total, Fraction) and total == expect
+        assert total == sum(
+            (v.length * lam(v.length) for v in graph.nodes_of(mask)), start=Fraction(0)
+        )
         for v in chosen:
-            weight = graph.weight([v])
+            weight = graph.weight(mask_at(built, [v]))
             assert isinstance(weight, Fraction) and weight == v.length * lam(v.length)
 
 
@@ -224,8 +291,8 @@ def test_remove_nodes_inherits_order():
     assert list(sub.nodes) == expect
     # adjacency survives restriction
     for v in sub.nodes:
-        assert sub.neighbors(v) == frozenset(
-            u for u in g.neighbors(v) if u in set(sub.nodes)
+        assert sub.neighborhood_mask(mask_at(g.nodes, [v])) == neighbors_at(
+            g.nodes, sub.nodes, v
         )
 
 
@@ -256,7 +323,9 @@ def test_lambda_tables_match_fraction_reference(k, seed, data):
             assert graph.class_mask(ell) == expect
             assert Fraction(tables.utility[ell], tables.scale) == lam(ell)
         for v in graph.nodes:
-            assert Fraction(tables.weights[graph.rank(v)], tables.scale) == v.length * lam(v.length)
+            i = g.nodes.index(v)
+            assert Fraction(tables.weights[i], tables.scale) == v.length * lam(v.length)
+            assert graph.weight(1 << i) == v.length * lam(v.length)
         for ell in (1, k + 1):
             with pytest.raises(ValueError):
                 graph.class_mask(ell)
@@ -277,9 +346,9 @@ def test_agent_bits_table_matches_each_node_and_is_shared(seed, k, data):
 @given(st.integers(min_value=0, max_value=10_000), st.data())
 def test_restriction_is_a_view_of_the_shared_build(seed, data):
     # a restriction is the built graph's tables and a smaller alive mask:
-    # it shares the tables and the memo, keeps ranks and node order, answers
-    # every query as a fresh build of its nodes in that order does, and
-    # rejects dead bits
+    # it shares the tables and the memo, keeps bit positions and node order,
+    # answers every query as a fresh build of its nodes in that order does,
+    # and rejects dead bits
     lam = LengthFunction.of(4, "1", "2/3", "2/3")
     g = gen_random(7, 4, 0.3, seed, lam=lam).graph()
     if not g.nodes:
@@ -292,15 +361,18 @@ def test_restriction_is_a_view_of_the_shared_build(seed, data):
         view = view.remove_nodes(view.mask_of(drop))
         assert view._tables is g._tables and view._tables.solved is g._tables.solved
         assert list(view.nodes) == [v for v in g.nodes if v in set(alive) - drop]
-        assert all(view.rank(v) == g.rank(v) for v in view.nodes)
+        assert all(view.mask_of([v]) == 1 << g.nodes.index(v) for v in view.nodes)
         assert view == g.remove_nodes(g._alive & ~view._alive)
         assert (view == before) == (not drop)
         for v in drop:
-            assert v not in view
+            bit = 1 << g.nodes.index(v)
+            assert v not in view.nodes and not view.is_independent(bit)
             with pytest.raises(KeyError):
-                view.rank(v)
+                view.mask_of([v])
             with pytest.raises(KeyError):
-                view.remove_nodes(1 << g.rank(v))
+                view.weight(bit)
+            with pytest.raises(KeyError):
+                view.remove_nodes(bit)
         fresh = build_graph(view.nodes, view.n, lam, node_order=view.nodes)
         assert fresh.nodes == view.nodes and fresh.num_nodes == view.num_nodes
 
@@ -308,16 +380,18 @@ def test_restriction_is_a_view_of_the_shared_build(seed, data):
             return dst.mask_of(src.nodes_of(mask))
 
         for v in view.nodes:
-            assert view.neighbors(v) == fresh.neighbors(v)
-            assert view.weight([v]) == fresh.weight([v])
+            mine, theirs = view.mask_of([v]), fresh.mask_of([v])
+            assert translated(view.neighborhood_mask(mine)) == fresh.neighborhood_mask(theirs)
+            assert view.weight(mine) == fresh.weight(theirs)
         for a in range(1, view.n + 1):
             assert translated(view.agent_mask(a)) == fresh.agent_mask(a)
         for ell in range(2, 5):
             assert translated(view.length_mask(ell)) == fresh.length_mask(ell)
             assert translated(view.class_mask(ell)) == fresh.class_mask(ell)
         picked = data.draw(st.sets(st.sampled_from(view.nodes))) if view.nodes else set()
-        assert view.is_independent(picked) == fresh.is_independent(picked)
-        assert view.weight(picked) == fresh.weight(picked)
+        mine, theirs = view.mask_of(picked), fresh.mask_of(picked)
+        assert view.is_independent(mine) == fresh.is_independent(theirs)
+        assert view.weight(mine) == fresh.weight(theirs)
     with pytest.raises(KeyError):
         g.remove_nodes(1 << g.num_nodes)
 
@@ -338,7 +412,7 @@ def test_custom_node_order():
     a, b = TradingCycle((1, 2)), TradingCycle((3, 4))
     g = build_graph([a, b], 4, UNIFORM3, node_order=[b, a])
     assert g.nodes == (b, a)
-    assert g.rank(b) == 0
+    assert g.mask_of([b]) == 1
     with pytest.raises(ValueError):
         build_graph([a, b], 4, UNIFORM3, node_order=[a])
 
@@ -346,9 +420,10 @@ def test_custom_node_order():
 def test_agent_index_is_clique():
     g = build_from_wishes(complete_digraph(5), UNIFORM3)
     for agent in range(1, 6):
-        nodes = g.nodes_of(g.agent_mask(agent))
-        for u, v in itertools.combinations(nodes, 2):
-            assert v in g.neighbors(u)
+        mask = g.agent_mask(agent)
+        assert mask == mask_at(g.nodes, [v for v in g.nodes if agent in v.agents])
+        for i, j in itertools.combinations(bits(mask), 2):
+            assert g.neighborhood_mask(1 << i) >> j & 1
 
 
 def test_node_count_bound_and_claw_freeness():
@@ -360,9 +435,10 @@ def test_node_count_bound_and_claw_freeness():
         assert g.num_nodes <= bound
         # no node has k+1 pairwise non-adjacent neighbors
         for v in g.nodes:
-            nbrs = sorted(g.neighbors(v), key=g.rank)
+            nbrs = [u for u in g.nodes if u != v and shares_agent(u, v)]
+            assert g.neighborhood_mask(g.mask_of([v])) == g.mask_of(nbrs)
             for claw in itertools.combinations(nbrs[:12], k + 1):
-                assert not g.is_independent(claw)
+                assert not g.is_independent(g.mask_of(claw))
 
 
 def _comb(n, h):
@@ -385,13 +461,23 @@ def test_independent_set_neighbor_bound(seed):
     if g.num_nodes == 0:
         return
     # grow a greedy maximal IS, then check the per-node intersection bound
-    chosen = []
+    chosen = greedy_disjoint(g.nodes)
+    iset = g.mask_of(chosen)
+    assert g.is_independent(iset)
     for v in g.nodes:
-        if g.is_independent(chosen + [v]):
+        touching = (iset & g.neighborhood_mask(g.mask_of([v]))).bit_count()
+        assert touching == sum(u != v and shares_agent(u, v) for u in chosen)
+        assert touching <= v.length
+
+
+def greedy_disjoint(nodes):
+    """The maximal set of pairwise agent-disjoint cycles picked in order."""
+    chosen, used = [], set()
+    for v in nodes:
+        if used.isdisjoint(v.agents):
             chosen.append(v)
-    iset = frozenset(chosen)
-    for v in g.nodes:
-        assert len(iset & g.neighbors(v)) <= v.length
+            used.update(v.agents)
+    return chosen
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,15 +485,11 @@ def test_independent_set_neighbor_bound(seed):
 def test_exchange_round_trip(seed):
     bundle = gen_random(8, 3, 0.4, seed)
     g = bundle.graph()
-    chosen = []
-    for v in g.nodes:
-        if g.is_independent(chosen + [v]):
-            chosen.append(v)
-    iset = frozenset(chosen)
-    assert g.is_independent(iset)
+    iset = frozenset(greedy_disjoint(g.nodes))
+    assert g.is_independent(g.mask_of(iset))
     ex = Exchange(cycles=iset)
     assert ex.cycles == iset
-    assert social_welfare(ex, bundle.wishes, bundle.lam) == g.weight(iset)
+    assert social_welfare(ex, bundle.wishes, bundle.lam) == g.weight(g.mask_of(iset))
 
 
 def test_direct_graph_without_wishes():
@@ -415,7 +497,7 @@ def test_direct_graph_without_wishes():
     nodes = [TradingCycle((1, 2)), TradingCycle((2, 3)), TradingCycle((1, 3))]
     g = build_graph(nodes, 3, UNIFORM3)
     assert g.num_nodes == 3
-    assert not g.is_independent(nodes[:2])
+    assert not g.is_independent(g.mask_of(nodes[:2]))
 
 
 def test_four_bound_instance_has_expected_optimum():
@@ -426,6 +508,6 @@ def test_four_bound_instance_has_expected_optimum():
         4, {1: {2, 4}, 2: {1, 3}, 3: {2, 4}, 4: {1, 3}}
     )
     g = build_from_wishes(w, LengthFunction.uniform(4))
-    best = g.set_of(naive_max_weight_independent_set(g))
+    best = naive_max_weight_independent_set(g)
     assert g.weight(best) == 4
-    assert {v.length for v in best} == {2}
+    assert {v.length for v in g.nodes_of(best)} == {2}

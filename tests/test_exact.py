@@ -111,7 +111,7 @@ def test_memo_matches_fresh_solves_along_restrictions(case, seed, data):
             fresh = build_graph(view.nodes, view.n, lam, node_order=view.nodes)
             fresh_part = fresh if keep is None else restrict(fresh, keep)
             expect = max_weight_independent_set(fresh_part)
-            assert view.set_of(best) == fresh.set_of(expect)
+            assert view.nodes_of(best) == fresh.nodes_of(expect)
             assert best == naive_max_weight_independent_set(part)
             answers.append((part, best))
         # asked again, every answer comes from the memo, one entry per mask
@@ -152,12 +152,12 @@ def test_subset_dp_route_matches_suffix_route(seed):
         return
     shifted = shifted_copy(graph, 20)
     assert shifted.n > 16
-    direct = graph.set_of(max_weight_independent_set(graph))
-    relabeled = shifted.set_of(max_weight_independent_set(shifted))
+    direct = graph.nodes_of(max_weight_independent_set(graph))
+    relabeled = shifted.nodes_of(max_weight_independent_set(shifted))
     expect = {
         TradingCycle(tuple(a + 20 for a in v.agents)) for v in direct
     }
-    assert relabeled == frozenset(expect)
+    assert set(relabeled) == expect
 
 
 def test_restriction_to_node_subset():
@@ -166,7 +166,7 @@ def test_restriction_to_node_subset():
     short = [v for v in graph.nodes if v.length == 2]
     part = restrict(graph, short)
     best = max_weight_independent_set(part)
-    assert graph.set_of(best) <= frozenset(short)
+    assert best & ~graph.mask_of(short) == 0
     assert best == naive_max_weight_independent_set(part)
 
 
@@ -187,7 +187,7 @@ def test_lexicographic_tie_break_is_first_by_rank():
     c, d = TradingCycle((2, 3)), TradingCycle((4, 5))
     graph = build_graph([a, b, c, d], 5, LengthFunction.uniform(3))
     best = max_weight_independent_set(graph)
-    assert graph.set_of(best) == frozenset({a, d})
+    assert best == graph.mask_of([a, d])
     assert naive_max_weight_independent_set(graph) == best
 
 

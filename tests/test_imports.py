@@ -1,5 +1,6 @@
 """Every library module uses the names it imports, and every top-level
-definition is used somewhere.
+definition and every public method or property of a library class is used
+somewhere.
 
 Small stand-ins for a linter's unused-import and dead-code checks, built on
 ``ast``.  A name counts as used when it appears as a name anywhere else in
@@ -112,7 +113,9 @@ def dead_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
     return sorted(f"{m}:{name}" for m, name, own in defs if not users.get(name, set()) - {own})
 
 
-def test_every_top_level_definition_is_used():
+def library_and_others() -> tuple[dict[str, str], list[str]]:
+    """The library modules by file name, and the sources of tests/ and
+    bxbench/."""
     modules = {
         p.name: p.read_text(encoding="utf-8")
         for p in sorted(SRC.glob("*.py"))
@@ -123,7 +126,11 @@ def test_every_top_level_definition_is_used():
         for folder in ("tests", "bxbench")
         for p in sorted((ROOT / folder).rglob("*.py"))
     ]
-    assert dead_definitions(modules, others) == []
+    return modules, others
+
+
+def test_every_top_level_definition_is_used():
+    assert dead_definitions(*library_and_others()) == []
 
 
 def test_checker_sees_a_dead_definition():
@@ -136,3 +143,68 @@ def test_checker_sees_a_dead_definition():
     )
     assert dead_definitions({"lib.py": lib}, ["x: 'Kept'\n"]) == ["lib.py:unused"]
     assert dead_definitions({"lib.py": lib}, ["x: 'Kept'\n", "from lib import unused\n"]) == []
+
+
+def member_names(stmt: ast.stmt) -> list[str]:
+    """The public members a class-body statement defines: a method (a
+    property too) or a name bound to ``property(...)``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        names = [stmt.name]
+    elif (
+        isinstance(stmt, ast.Assign)
+        and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Name)
+        and stmt.value.func.id == "property"
+    ):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    else:
+        return []
+    return [name for name in names if not name.startswith("_")]
+
+
+def dead_members(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module:Class.name`` for each public method or property of a
+    top-level class in ``modules`` that nothing names but its own
+    definition, in ``modules`` or in ``others``."""
+    members = []
+    users: dict[str, set] = {}  # name -> the statements that name it
+    for module, source in modules.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if not isinstance(stmt, ast.ClassDef):
+                parts = [stmt]
+            else:  # each statement of the body is told apart from the rest
+                parts = [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]
+            for j, part in enumerate(parts):
+                own = (module, i, j)
+                if isinstance(stmt, ast.ClassDef):
+                    members.extend((module, stmt.name, name, own) for name in member_names(part))
+                for name in names_in(part):
+                    users.setdefault(name, set()).add(own)
+    for j, source in enumerate(others):
+        for name in names_in(ast.parse(source)):
+            users.setdefault(name, set()).add(("", j, 0))
+    return sorted(
+        f"{m}:{cls}.{name}" for m, cls, name, own in members if not users.get(name, set()) - {own}
+    )
+
+
+def test_every_public_class_member_is_used():
+    assert dead_members(*library_and_others()) == []
+
+
+def test_checker_sees_a_dead_member():
+    lib = (
+        "class Graph:\n"
+        "    def used(self): return self.helper()\n"
+        "    def helper(self): return self.helper\n"  # naming itself is no use
+        "    def unused(self): return self.used()\n"
+        "    def _private(self): return 0\n"
+        "    def __len__(self): return 0\n"
+        "    size = property(lambda self: 0)\n"
+        "    @property\n"
+        "    def order(self): return 0\n"
+    )
+    assert dead_members({"lib.py": lib}, ["Graph().used()\n"]) == [
+        "lib.py:Graph.order", "lib.py:Graph.size", "lib.py:Graph.unused",
+    ]
+    assert dead_members({"lib.py": lib}, ["g.unused(); g.size; getattr(g, 'order')\n"]) == []

@@ -60,9 +60,8 @@ class TestComb:
         bundle = gen_comb(2, 3, 3, FLAT3)
         g = bundle.graph()
         ch = comb_horizontal_cycle(2)
-        assert g.weight([ch]) == expected_value(bundle, "horizontal_welfare") == 2
-        verticals = [v for v in g.nodes if v.length == 3]
-        assert g.weight(verticals) == expected_value(bundle, "all_vertical_welfare")
+        assert g.weight(g.mask_of([ch])) == expected_value(bundle, "horizontal_welfare") == 2
+        assert g.weight(g.length_mask(3)) == expected_value(bundle, "all_vertical_welfare")
         assert g.weight(oracle_max_weight_is(g)) == Fraction(27, 5)
 
     def test_script_prunes_vertical_cycles(self):
@@ -102,11 +101,11 @@ class TestDoubleComb:
         bundle = gen_double_comb(2, 3, 3, FLAT3)
         g = bundle.graph()
         verticals = [v for v in g.nodes if v.length == 3]
-        assert g.weight(verticals) == expected_value(bundle, "all_vertical_welfare")
+        assert g.weight(g.mask_of(verticals)) == expected_value(bundle, "all_vertical_welfare")
         # mixed benchmark: right horizontal + the leftmost verticals
         c_r = double_comb_right_cycle(2)
         left_verticals = [v for v in verticals if 1 in set(v.agents)]
-        mixed = left_verticals + [c_r]
+        mixed = g.mask_of(left_verticals + [c_r])
         assert g.is_independent(mixed)
         assert g.weight(mixed) == expected_value(bundle, "mixed_welfare")
 
@@ -128,7 +127,7 @@ class TestGbad:
         assert bundle.n == 15
         g = bundle.graph()
         assert g.num_nodes == 7
-        blue, red = gbad_blue_set(1), gbad_red_set(1)
+        blue, red = g.mask_of(gbad_blue_set(1)), g.mask_of(gbad_red_set(1))
         assert g.is_independent(blue)
         assert g.is_independent(red)
         assert g.weight(blue) == 6
@@ -138,8 +137,8 @@ class TestGbad:
     def test_search_stalls_on_blue(self, q):
         bundle = gen_gbad(q)
         g = bundle.graph()
-        out = g.set_of(ls_mechanism(q).solve(g))
-        assert out == gbad_blue_set(q)
+        out = ls_mechanism(q).solve(g)
+        assert out == g.mask_of(gbad_blue_set(q))
         assert g.weight(out) == expected_value(bundle, "stalled_weight")
         best = oracle_max_weight_is(g)
         assert g.weight(best) == expected_value(bundle, "optimum_weight")
@@ -169,7 +168,7 @@ class TestFan:
             bundle = gen_fan(k)
             g = bundle.graph()
             best = oracle_max_weight_is(g)
-            assert best == frozenset(g.nodes[1:])
+            assert g.nodes_of(best) == g.nodes[1:]
             assert g.weight(best) == expected_value(bundle, "optimum_weight")
 
     def test_lambda_oblivious(self):
@@ -198,10 +197,10 @@ class TestLadder:
         reduced = g.remove_nodes(g.mask_of([pin]))
         best = oracle_max_weight_is(reduced)
         # teeth + left anchor + the B-blocks
-        teeth = set(g.nodes[1:3])
+        teeth = g.nodes[1:3]
         b_cycle = g.nodes[3]
-        b_blocks = set(g.nodes[6:8])
-        assert best == frozenset(teeth | {b_cycle} | b_blocks)
+        b_blocks = g.nodes[6:8]
+        assert g.nodes_of(best) == teeth + (b_cycle,) + b_blocks
 
 
 class TestNonrealizable:
@@ -210,11 +209,12 @@ class TestNonrealizable:
         g = bundle.graph()
         assert g.num_nodes == 4
         v4 = TradingCycle((4, 5, 6))
-        assert g.neighbors(v4) == frozenset()
+        assert g.neighborhood_mask(g.mask_of([v4])) == 0
         others = [v for v in g.nodes if v != v4]
         for i, u in enumerate(others):
+            assert g.neighborhood_mask(g.mask_of([u])) == g.mask_of(others) & ~g.mask_of([u])
             for w in others[i + 1 :]:
-                assert w in g.neighbors(u)
+                assert set(w.agents) & set(u.agents)
 
     def test_checker_rejects_it(self):
         bundle = gen_nonrealizable()
@@ -327,8 +327,8 @@ class TestSerialization:
         assert loaded == bundle
         graph, again = bundle.graph(), loaded.graph()
         assert again.nodes == graph.nodes
-        assert [again.weight([v]) for v in again.nodes] == [
-            graph.weight([v]) for v in graph.nodes
+        assert [again.weight(1 << i) for i in range(again.num_nodes)] == [
+            graph.weight(1 << i) for i in range(graph.num_nodes)
         ]
         assert again == graph
         for mech in catalog():

@@ -107,7 +107,7 @@ class TestAllForQ:
         expect = g.mask_of({c1, y})
         swap = all_for_q_rule(2, require_loyalty=False)
         assert apply_rule(swap, g, current) == expect
-        assert reference_all_for_q(g, g.set_of(current), 2, False) == g.set_of(expect)
+        assert reference_all_for_q(g, {c1, c2, c3}, 2, False) == {c1, y}
         wider = all_for_q_rule(3, require_loyalty=False)
         assert apply_rule(wider, g, current) == g.mask_of({x, y})
 
@@ -116,25 +116,51 @@ class TestAllForQ:
             all_for_q_rule(0)
 
 
+# The references below read nothing from the graph's tables: adjacency is
+# two cycles sharing an agent, a node's weight is length * lam(length), and
+# a node's rank is its position in ``graph.nodes``.
+
+
+def shares_agent(u, v):
+    return not set(u.agents).isdisjoint(v.agents)
+
+
+def agents_in(nodes):
+    return frozenset(a for v in nodes for a in v.agents)
+
+
+def weight_of(lam, nodes):
+    return sum((v.length * lam(v.length) for v in nodes), Fraction(0))
+
+
+def disjoint(nodes):
+    """Whether no two of ``nodes`` share an agent."""
+    agents = [a for v in nodes for a in v.agents]
+    return len(agents) == len(set(agents))
+
+
 def neighborhood(graph, nodes):
-    return frozenset(u for v in nodes for u in graph.neighbors(v))
+    """The alive nodes that share an agent with some other node of ``nodes``."""
+    return frozenset(
+        u for u in graph.nodes if any(u != v and shares_agent(u, v) for v in nodes)
+    )
 
 
-def independent_subsets(graph, pool, max_size):
+def independent_subsets(pool, max_size):
     """Every non-empty independent subset of ``pool`` with at most
     ``max_size`` nodes, each as a tuple in pool order."""
 
-    def extend(chosen, blocked, start):
+    def extend(chosen, start):
         for i in range(start, len(pool)):
             v = pool[i]
-            if v in blocked:
+            if any(shares_agent(u, v) for u in chosen):
                 continue
             combo = chosen + (v,)
             yield combo
             if len(combo) < max_size:
-                yield from extend(combo, blocked | graph.neighbors(v), i + 1)
+                yield from extend(combo, i + 1)
 
-    return extend((), frozenset(), 0)
+    return extend((), 0)
 
 
 def reference_all_for_q(graph, current, q, require_loyalty=True):
@@ -143,26 +169,28 @@ def reference_all_for_q(graph, current, q, require_loyalty=True):
     candidate."""
     if not current:
         return None
-    pool = sorted(neighborhood(graph, current) - current, key=graph.rank)
-    cur_agents = graph.agents_of(current)
-    cur_weight = graph.weight(current)
+    current = frozenset(current)
+    rank = {v: i for i, v in enumerate(graph.nodes)}
+    pool = sorted(neighborhood(graph, current) - current, key=rank.__getitem__)
+    cur_agents = agents_in(current)
+    cur_weight = weight_of(graph.lam, current)
     best_key, best = None, None
-    for combo in independent_subsets(graph, pool, q * graph.k):
+    for combo in independent_subsets(pool, q * graph.k):
         evicted = frozenset(neighborhood(graph, combo) & current)
         if len(evicted) > q:
             continue
         candidate = (current - evicted) | frozenset(combo)
-        if not graph.is_independent(candidate):
+        if not disjoint(candidate):
             continue
-        if graph.weight(candidate) <= cur_weight:
+        if weight_of(graph.lam, candidate) <= cur_weight:
             continue
         if require_loyalty:
-            cand_agents = graph.agents_of(candidate)
+            cand_agents = agents_in(candidate)
             if not (cur_agents < cand_agents):
                 continue
         key = (
-            tuple(sorted(graph.rank(v) for v in combo)),
-            tuple(sorted(graph.rank(v) for v in evicted)),
+            tuple(sorted(rank[v] for v in combo)),
+            tuple(sorted(rank[v] for v in evicted)),
         )
         if best_key is None or key < best_key:
             best_key, best = key, candidate
@@ -204,15 +232,15 @@ def test_all_for_q_matches_brute_force_reference(shape, seed, q, loyal, data):
         return
     # start from the greedy basin or from a random independent set
     if data.draw(st.booleans()):
-        start = g.set_of(run_local_search(g, [expansion_rule()]).final)
+        start = frozenset(g.nodes_of(run_local_search(g, [expansion_rule()]).final))
     else:
         start = frozenset()
         for v in data.draw(st.lists(st.sampled_from(g.nodes), max_size=6)):
-            if g.is_independent(start | {v}):
+            if disjoint(start | {v}):
                 start |= {v}
     rule = all_for_q_rule(q, require_loyalty=loyal)
     out = apply_rule(rule, g, g.mask_of(start))
-    out = None if out is None else g.set_of(out)
+    out = None if out is None else frozenset(g.nodes_of(out))
     assert out == reference_all_for_q(g, start, q, loyal)
 
 
@@ -228,16 +256,16 @@ def test_all_for_q_matches_reference_where_both_cuts_fire(seed):
     rng.shuffle(order)
     g = build_graph(g.nodes, 8, lam, node_order=order)
     g = g.remove_nodes(g.mask_of(rng.sample(g.nodes, g.num_nodes // 6)))
-    starts = [g.set_of(run_local_search(g, [expansion_rule()]).final)]
+    starts = [frozenset(g.nodes_of(run_local_search(g, [expansion_rule()]).final))]
     for _ in range(3):
         start = frozenset()
         for v in rng.sample(g.nodes, min(8, g.num_nodes)):
-            if g.is_independent(start | {v}):
+            if disjoint(start | {v}):
                 start |= {v}
         starts.append(start)
     for start, q, loyal in itertools.product(starts, (1, 2, 3), (True, False)):
         out = apply_rule(all_for_q_rule(q, require_loyalty=loyal), g, g.mask_of(start))
-        out = None if out is None else g.set_of(out)
+        out = None if out is None else frozenset(g.nodes_of(out))
         assert out == reference_all_for_q(g, start, q, loyal)
 
 
@@ -252,7 +280,7 @@ class TestDriver:
         g = graph_of([(1, 2)], 2)
         trace = run_local_search(g, [expansion_rule()])
         assert trace.iterations == 1
-        assert g.set_of(trace.final) == frozenset({TradingCycle((1, 2))})
+        assert g.nodes_of(trace.final) == (TradingCycle((1, 2)),)
 
     def test_rules_fire_in_priority_order(self):
         v = TradingCycle((1, 2, 3))
@@ -262,7 +290,7 @@ class TestDriver:
         names = [s.rule_name for s in trace.steps]
         assert names[0] == "expand"  # grabs v first under the injected order
         assert "all-for-1" in names
-        assert g.set_of(trace.final) == frozenset({a, b, c})
+        assert trace.final == g.mask_of({a, b, c})
 
     def test_requires_rules(self):
         with pytest.raises(ValueError):
@@ -356,7 +384,7 @@ class TestDriver:
         e, y, x = TradingCycle((1, 2)), TradingCycle((1, 5)), TradingCycle((2, 3, 4))
         g = build_graph([e, x, y], 5, UNIFORM3, node_order=[e, x, y])
         trace = run_local_search(g, [expansion_rule(), all_for_q_rule(1, require_loyalty=False)])
-        assert [(s.rule_index, g.set_of(s.result)) for s in trace.steps] == [
+        assert [(s.rule_index, set(g.nodes_of(s.result))) for s in trace.steps] == [
             (0, {e}),
             (1, {x}),
             (0, {x, y}),
@@ -364,10 +392,13 @@ class TestDriver:
 
 
 def reference_run_local_search(graph, rules):
-    """The driver with whole-set checks: every result is tested for
-    independence, summed and mapped to its agents from scratch."""
-    weights = graph._tables.weights
-    current = current_weight = 0
+    """The driver with whole-set checks: every result is mapped to its
+    cycles (bit i is node i of the build), tested for alive, pairwise
+    disjoint cycles, and summed and mapped to its agents from scratch."""
+    built = graph._tables.nodes
+    alive = set(graph.nodes)
+    current = 0
+    current_weight = Fraction(0)
     current_agents = frozenset()
     steps = []
     while True:
@@ -375,12 +406,13 @@ def reference_run_local_search(graph, rules):
             result = apply_rule(rule, graph, current)
             if result is None:
                 continue
-            if not graph.is_independent_mask(result):
+            cycles = [built[i] for i in bits(result)]
+            if not (alive.issuperset(cycles) and disjoint(cycles)):
                 raise RuleContractError(f"rule {rule.name} returned a dependent set")
-            new_weight = sum(weights[i] for i in bits(result))
+            new_weight = weight_of(graph.lam, cycles)
             if new_weight <= current_weight:
                 raise RuleContractError(f"rule {rule.name} returned a non-improving set")
-            new_agents = graph.agents_of(graph.nodes_of(result))
+            new_agents = agents_in(cycles)
             if rule.loyal and not current_agents <= new_agents:
                 raise RuleContractError(
                     f"rule {rule.name} is flagged loyal but dropped an agent"
@@ -521,10 +553,10 @@ def test_trace_weights_strictly_increase_and_rules_stay_loyal(seed, q):
     last = Fraction(0)
     served = frozenset()
     for step in trace.steps:
-        w = g.weight(g.nodes_of(step.result))
+        w = g.weight(step.result)
         assert w > last
         last = w
-        now = g.agents_of(g.nodes_of(step.result))
+        now = agents_in(g.nodes_of(step.result))
         assert served <= now
         served = now
 
@@ -555,7 +587,7 @@ class TestConcatenate:
     def test_union_semantics(self):
         g = graph_of([(1, 2), (3, 4, 5)], 5)
         combined = concatenate(greedy_phase(2).solver, greedy_phase(3).solver)
-        assert g.set_of(combined(g)[0]) == frozenset(g.nodes)
+        assert combined(g)[0] == g.mask_of(g.nodes)
 
     @settings(max_examples=30, deadline=None)
     @given(

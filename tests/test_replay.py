@@ -272,9 +272,9 @@ def test_footprint_holds_the_nodes_a_swap_evicted():
     graph = build_from_wishes(wishes, LengthFunction.uniform(3))
     m = ls_mechanism(1)
     pair, triangle = graph.nodes
-    assert graph.set_of(m.solve(graph)) == {triangle}
+    assert graph.nodes_of(m.solve(graph)) == (triangle,)
     assert graph._tables.recorded[m.solver] == (
         graph._alive, graph._alive, graph.mask_of([triangle])
     )
-    assert graph.set_of(m.solve(graph.remove_nodes(graph.mask_of([pair])))) == {triangle}
-    assert graph.set_of(m.solve(graph.remove_nodes(graph.mask_of([triangle])))) == {pair}
+    assert graph.nodes_of(m.solve(graph.remove_nodes(graph.mask_of([pair])))) == (triangle,)
+    assert graph.nodes_of(m.solve(graph.remove_nodes(graph.mask_of([triangle])))) == (pair,)

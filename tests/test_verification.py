@@ -51,7 +51,7 @@ STEEP3 = LengthFunction.of(3, "1", "1/2")
 class TestOracle:
     def test_empty_graph(self):
         g = build_graph([], 2, UNIFORM3)
-        assert oracle_max_weight_is(g) == frozenset()
+        assert oracle_max_weight_is(g) == 0
 
     def test_gbad_optimum(self):
         g = gen_gbad(1).graph()
@@ -64,13 +64,14 @@ class TestOracle:
         g = bundle.graph()
         if g.num_nodes > 16:
             return
-        assert oracle_max_weight_is(g) == g.set_of(naive_max_weight_independent_set(g))
+        best = oracle_max_weight_is(g)
+        assert type(best) is int and best == naive_max_weight_independent_set(g)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_many_agent_route_agrees_with_naive(self, q):
         # 6q+9 agents forces the node-level search; cross-check it
         g = gen_gbad(q).graph()
-        assert oracle_max_weight_is(g) == g.set_of(naive_max_weight_independent_set(g))
+        assert oracle_max_weight_is(g) == naive_max_weight_independent_set(g)
 
     def test_cap_error(self):
         wishes = gen_random(18, 3, 0.7, 5).wishes
@@ -326,7 +327,7 @@ class TestWishlistFuzz:
             for i, wishes in enumerate(script):
                 g = build_from_wishes(wishes, lam)
                 out = mech.solve(g)
-                assert c_r not in g.set_of(out)
+                assert c_r not in g.nodes_of(out)
                 if i >= 1:
                     deviator = h + i
                     assert graph_utility(g, out, deviator) <= graph_utility(
